@@ -4,8 +4,9 @@ Library layout:
 
 * ``fdst.graphs`` — configuration-model pairings, multigraph projection,
   rejection sampling of simple regular graphs, graph file io.
-* ``fdst.greedy`` — the greedy full-degree-tree algorithm in graph mode and
-  lazily revealed pairing mode, with per-step trajectories.
+* ``fdst.greedy`` — the greedy full-degree-tree algorithm: one loop over a
+  pairing serves graph mode (the graph's own pairing) and lazy mode (a
+  uniform pairing revealed on demand), with per-step trajectories.
 * ``fdst.exact`` — exhaustive oracles for the full-degree number phi, the
   max-leaf number lambda, and the connected domination number gamma_C on
   small graphs, plus the extremal product constructions.

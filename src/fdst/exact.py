@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError, SizeGuardError
-from .graphs import graph_from_edges, is_connected
+from .graphs import _leaf_count, graph_from_edges, is_connected
 from .unionfind import UnionFind
 
 
@@ -304,14 +304,6 @@ def _tree_with_pendants(g, dominating):
         anchor = next(w for w in g.adjacency[v] if w in dset)
         tree.append((v, anchor) if v < anchor else (anchor, v))
     return sorted(tree)
-
-
-def _leaf_count(n, edges):
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return sum(1 for d in deg if d == 1)
 
 
 def kirchhoff_tree_count(g):

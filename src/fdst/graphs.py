@@ -135,26 +135,20 @@ def graph_from_edges(n, edges, r=None):
     return g
 
 
-def sample_pairing(n, r, rng):
-    """Uniform perfect matching on the r*n configuration points.
+def _pair_lowest_first(matches, points, pos, rng):
+    """Pair up the unmatched ``points`` (sorted) uniformly, writing into ``matches``.
 
     Repeatedly pairs the lowest unmatched point with a uniformly random other
     unmatched point, which yields the uniform distribution and mirrors the
-    order in which the lazy algorithm reveals pairs.
+    order in which the lazy algorithm reveals pairs. ``pos`` maps each point
+    to its index in ``points`` (a list or a dict) and is used up; callers
+    build it, because for all points ``list(range(m))`` is much cheaper than
+    a general index.
     """
-    if r < 2:
-        raise InvalidInputError(f"need r >= 2, got r={r}")
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1, got n={n}")
-    m = n * r
-    if m % 2:
-        raise InvalidInputError(f"r*n must be even, got n={n}, r={r}")
-    matches = [-1] * m
-    pool = list(range(m))
-    pos = list(range(m))
-    draws = rng.random(m // 2).tolist()
+    pool = list(points)
+    draws = rng.random(len(pool) // 2).tolist()
     k = 0
-    for p in range(m):
+    for p in points:
         if matches[p] != -1:
             continue
         # remove p, then draw its partner uniformly from the remainder
@@ -172,6 +166,19 @@ def sample_pairing(n, r, rng):
             pos[last] = j
         matches[p] = q
         matches[q] = p
+
+
+def sample_pairing(n, r, rng):
+    """Uniform perfect matching on the r*n configuration points, lowest point first."""
+    if r < 2:
+        raise InvalidInputError(f"need r >= 2, got r={r}")
+    if n < 1:
+        raise InvalidInputError(f"need n >= 1, got n={n}")
+    m = n * r
+    if m % 2:
+        raise InvalidInputError(f"r*n must be even, got n={n}, r={r}")
+    matches = [-1] * m
+    _pair_lowest_first(matches, range(m), list(range(m)), rng)
     return Pairing(n=n, r=r, matches=np.asarray(matches, dtype=np.int64))
 
 
@@ -185,6 +192,11 @@ def project(pairing):
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     return MultiGraph(n=pairing.n, edges=list(zip(lo.tolist(), hi.tolist())))
+
+
+def _leaf_count(n, edges):
+    """Number of degree-1 vertices in the graph on n vertices with these edges."""
+    return MultiGraph(n=n, edges=edges).degrees().count(1)
 
 
 def is_simple(mg):

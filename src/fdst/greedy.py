@@ -1,21 +1,26 @@
 """Greedy construction of spanning trees with many full-degree vertices.
 
-Two modes implement the same algorithm:
+One loop serves both modes. It runs against a pairing of the r*n
+configuration points (point p belongs to vertex p // r) and reveals the
+partners of a vertex's points only when it processes that vertex. It grows
+a forest from a random star, prefers processing current leaves (L) over
+unseen vertices (Z_r), and finally completes the forest to a spanning tree.
+Class bookkeeping follows per-point semantics: a vertex not in the forest
+with i unrevealed points is in class Z_i, a forest leaf with r-1 unrevealed
+points is in L, and anything hit along the way drops down a class or goes
+dormant. A leaf step succeeds when none of its newly revealed partners lies
+in the forest, a fresh-vertex step when at most one does.
 
-* graph mode (`run_on_graph`) executes the pseudocode on a concrete
-  connected simple r-regular graph: grow a forest from a random star,
-  prefer processing current leaves (L) over unseen vertices (Z_r), declare
-  a step a success when at most one neighbor of the processed vertex
-  already lies in the forest, and finally complete the forest to a
-  spanning tree.
+* lazy mode (`run_lazy`) draws each revealed partner uniformly from the
+  unrevealed points, so the pairing stays undisclosed until it is used.
+  This is the mode whose scaled trajectories the drift system of
+  `fdst.ode` describes.
 
-* lazy mode (`run_lazy`) runs against an undisclosed uniform pairing of
-  r*n configuration points, revealing partners only when a vertex is
-  processed. Class bookkeeping follows per-point semantics: a vertex not
-  in the forest with i unrevealed points is in class Z_i, a forest leaf
-  with r-1 unrevealed points is in L, and anything hit along the way drops
-  down a class or goes dormant. This is the mode whose scaled trajectories
-  the drift system of `fdst.ode` describes.
+* graph mode (`run_on_graph`) runs on a concrete connected simple r-regular
+  graph with its pairing fixed in advance: point v*r+i is paired with v's
+  i-th neighbour in sorted order. There the success rule is the
+  pseudocode's "at most one neighbour of the processed vertex already lies
+  in the forest".
 
 Failure steps are deliberately cautious: the processed vertex is retired
 even when a more careful case analysis could sometimes still make it full
@@ -29,69 +34,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .graphs import Pairing, is_connected
+from .graphs import MultiGraph, Pairing, _pair_lowest_first, is_connected, project
 from .unionfind import UnionFind
 
 
-class IndexedSet:
-    """Dynamic set with O(1) membership, removal, and uniform random pop."""
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self, iterable=()):
-        self.items = list(iterable)
-        self.pos = {x: i for i, x in enumerate(self.items)}
-
-    def __len__(self):
-        return len(self.items)
-
-    def __contains__(self, x):
-        return x in self.pos
-
-    def add(self, x):
-        if x not in self.pos:
-            self.pos[x] = len(self.items)
-            self.items.append(x)
-
-    def discard(self, x):
-        i = self.pos.pop(x, None)
-        if i is None:
-            return
-        last = self.items.pop()
-        if i < len(self.items):
-            self.items[i] = last
-            self.pos[last] = i
-
-    def pop_random(self, rng):
-        items = self.items
-        i = int(rng.integers(len(items)))
-        x = items[i]
-        last = items.pop()
-        if i < len(items):
-            items[i] = last
-            self.pos[last] = i
-        del self.pos[x]
-        return x
-
-
 class _DensePool:
-    """IndexedSet specialized to a dense integer universe 0..m-1.
+    """Set over the integers 0..m-1 with O(1) add, discard and uniform random pop.
 
-    Position lookups go through a flat list instead of a dict, which keeps
-    million-point lazy runs near-linear in practice.
+    ``pos[x]`` is x's index in ``items``, or -1 when x is absent. Removal
+    moves the last item into the freed slot.
     """
 
     __slots__ = ("items", "pos")
 
-    def __init__(self, m):
-        self.items = list(range(m))
-        self.pos = list(range(m))
+    def __init__(self, m, full=True):
+        self.items = list(range(m)) if full else []
+        self.pos = list(range(m)) if full else [-1] * m
 
     def __len__(self):
         return len(self.items)
 
-    def remove(self, x):
+    def add(self, x):
+        if self.pos[x] == -1:
+            self.pos[x] = len(self.items)
+            self.items.append(x)
+
+    def discard(self, x):
         i = self.pos[x]
+        if i == -1:
+            return
+        self.pos[x] = -1
         last = self.items.pop()
         if i < len(self.items):
             self.items[i] = last
@@ -105,6 +77,7 @@ class _DensePool:
         if i < len(items):
             items[i] = last
             self.pos[last] = i
+        self.pos[x] = -1
         return x
 
 
@@ -113,7 +86,7 @@ class StepOutcome:
     op: int                 # 1 = leaf step, 2 = fresh-vertex step
     processed: int
     success: bool
-    partners: list          # (vertex, class before the step)
+    partners: list          # newly revealed (vertex, class before the step)
 
 
 @dataclass
@@ -160,6 +133,28 @@ class SpanningTreeResult:
     pairing: object = None  # lazy mode: the fully revealed Pairing
 
 
+def _join_forest(n, forest, edges, saturated):
+    """Join the components of an acyclic forest with ``edges``, in their order.
+
+    An edge is kept when it joins two components; it may not touch a
+    saturated vertex. Returns the sorted tree edges (u < v) and whether
+    they span all n vertices.
+    """
+    uf = UnionFind(n)
+    for u, v in forest:
+        if not uf.union(u, v):
+            raise InvariantViolationError(f"forest has a cycle at ({u}, {v})")
+    tree = sorted(forest)
+    for u, v in edges:
+        if uf.union(u, v):
+            if saturated[u] or saturated[v]:
+                raise InvariantViolationError(
+                    f"completion tried to add ({u}, {v}) at a full-degree vertex")
+            tree.append((u, v))
+    tree.sort()
+    return tree, uf.components == 1
+
+
 def complete_to_spanning_tree(forest, g):
     """Extend an acyclic forest inside g to a spanning tree of g.
 
@@ -169,155 +164,45 @@ def complete_to_spanning_tree(forest, g):
     """
     if not is_connected(g):
         raise InvalidInputError("completion requires a connected graph")
-    uf = UnionFind(g.n)
     forest_deg = [0] * g.n
-    tree = []
+    edges = []
     for u, v in forest:
         if not g.has_edge(u, v):
             raise InvalidInputError(f"forest edge ({u}, {v}) is not a graph edge")
-        if not uf.union(u, v):
-            raise InvariantViolationError(f"input forest has a cycle at ({u}, {v})")
         forest_deg[u] += 1
         forest_deg[v] += 1
-        tree.append((u, v) if u < v else (v, u))
+        edges.append((u, v) if u < v else (v, u))
     saturated = [forest_deg[v] == g.degree(v) for v in range(g.n)]
-    for u, v in g.edges():
-        if uf.union(u, v):
-            if saturated[u] or saturated[v]:
-                raise InvariantViolationError(
-                    f"completion tried to add ({u}, {v}) at a full-degree vertex")
-            tree.append((u, v))
-    if uf.components != 1:
-        raise InvariantViolationError("completion left the tree disconnected")
-    return sorted(tree)
+    return _join_forest(g.n, edges, g.edges(), saturated)[0]
 
 
-def _leaf_count(n, edges):
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return sum(1 for d in deg if d == 1)
+class _State:
+    """Bookkeeping of one run: revealed pairs, vertex classes, pools and forest."""
 
-
-def run_on_graph(g, rng, record_steps=False):
-    """Run the algorithm on a concrete connected r-regular graph."""
-    r = g.r
-    if r < 3:
-        raise InvalidInputError(f"need r >= 3, got r={r}")
-    if not is_connected(g):
-        raise InvalidInputError("graph mode requires a connected input graph")
-    n = g.n
-    adj = g.adjacency
-    in_tree = bytearray(n)
-    forest = set()
-    forest_deg = [0] * n
-    full = bytearray(n)
-    leaf_pool = IndexedSet()
-    fresh_pool = IndexedSet(range(n))
-    steps = [] if record_steps else None
-
-    v0 = int(rng.integers(n))
-    fresh_pool.discard(v0)
-    in_tree[v0] = 1
-    if record_steps:
-        steps.append(StepOutcome(op=2, processed=v0, success=True,
-                                 partners=[(w, "Zr") for w in adj[v0]]))
-    for w in adj[v0]:
-        forest.add((v0, w) if v0 < w else (w, v0))
-        forest_deg[v0] += 1
-        forest_deg[w] += 1
-        in_tree[w] = 1
-        fresh_pool.discard(w)
-        leaf_pool.add(w)
-    full[v0] = 1
-    full_count = 1
-
-    t = 0
-    first_fresh_step = None
-    full_at_phase1_end = None
-    while len(leaf_pool) or len(fresh_pool):
-        t += 1
-        if len(leaf_pool):
-            op = 1
-            v = leaf_pool.pop_random(rng)
-        else:
-            op = 2
-            if first_fresh_step is None:
-                first_fresh_step = t
-                full_at_phase1_end = full_count
-            v = fresh_pool.pop_random(rng)
-        if record_steps:
-            partners = [(w, "L" if w in leaf_pool else
-                         ("tree" if in_tree[w] else
-                          ("Zr" if w in fresh_pool else "retired")))
-                        for w in adj[v]]
-        in_tree_nbrs = 0
-        for w in adj[v]:
-            if in_tree[w]:
-                in_tree_nbrs += 1
-        success = in_tree_nbrs <= 1
-        if success:
-            for w in adj[v]:
-                e = (v, w) if v < w else (w, v)
-                if e not in forest:
-                    forest.add(e)
-                    forest_deg[v] += 1
-                    forest_deg[w] += 1
-                if not in_tree[w]:
-                    in_tree[w] = 1
-                    if w in fresh_pool:
-                        fresh_pool.discard(w)
-                        leaf_pool.add(w)
-            in_tree[v] = 1
-            full[v] = 1
-            full_count += 1
-        else:
-            for w in adj[v]:
-                fresh_pool.discard(w)
-                leaf_pool.discard(w)
-        if record_steps:
-            steps.append(StepOutcome(op=op, processed=v, success=success,
-                                     partners=partners))
-
-    for v in range(n):
-        if full[v] and forest_deg[v] != r:
-            raise InvariantViolationError(
-                f"full-degree vertex {v} has forest degree {forest_deg[v]}")
-    tree = complete_to_spanning_tree(sorted(forest), g)
-    return SpanningTreeResult(
-        n=n, r=r, tree=tree,
-        full_degree_count=full_count,
-        leaf_count=_leaf_count(n, tree),
-        phase1_full_degree_count=(full_at_phase1_end
-                                  if full_at_phase1_end is not None else full_count),
-        rho1_empirical=(first_fresh_step / n if first_fresh_step is not None else None),
-        full_vertices=[v for v in range(n) if full[v]],
-        connected=True,
-        steps=steps,
-    )
-
-
-class _LazyState:
-    """Mutable bookkeeping for one lazy run."""
-
-    def __init__(self, n, r):
+    def __init__(self, n, r, lazy):
         self.n = n
         self.r = r
         self.partner = [-1] * (n * r)
-        self.point_pool = _DensePool(n * r)
+        self.point_pool = _DensePool(n * r) if lazy else None  # unrevealed points
         self.unrevealed = [r] * n
         self.in_forest = bytearray(n)
         self.full = bytearray(n)
         self.forest = []
-        self.forest_deg = [0] * n
         self.count_z = [0] * (r + 1)
         self.count_z[r] = n
-        self.count_leaf = 0
         self.full_count = 0
-        self.unrevealed_total = n * r
-        self.leaf_pool = IndexedSet()
-        self.fresh_pool = IndexedSet(range(n))
+        self.leaf_pool = _DensePool(n, full=False)
+        self.fresh_pool = _DensePool(n)
+
+    def unrevealed_total(self):
+        if self.point_pool is None:
+            return sum(self.unrevealed)
+        return len(self.point_pool)
+
+    def sample(self, t, phase):
+        n = self.n
+        return (t / n, *(c / n for c in self.count_z[1:]), len(self.leaf_pool) / n,
+                self.full_count / n, self.unrevealed_total() / n, phase)
 
     def class_label(self, v):
         if self.full[v]:
@@ -327,40 +212,180 @@ class _LazyState:
         return f"Z{self.unrevealed[v]}"
 
     def audit(self):
-        """O(n) recomputation of every incremental counter."""
-        r = self.r
+        """O(n) recomputation of every incremental counter and pool."""
+        n, r = self.n, self.r
         count_z = [0] * (r + 1)
-        count_leaf = 0
-        total_unrevealed = 0
-        for v in range(self.n):
-            total_unrevealed += self.unrevealed[v]
-            if self.in_forest[v]:
-                if not self.full[v] and self.unrevealed[v] == r - 1:
-                    count_leaf += 1
-            else:
-                count_z[self.unrevealed[v]] += 1
+        leaves, fresh = set(), set()
+        held = 0  # unrevealed points of dormant forest leaves
+        for v in range(n):
+            u = self.unrevealed[v]
+            if not self.in_forest[v]:
+                count_z[u] += 1
+                if u == r:
+                    fresh.add(v)
+            elif not self.full[v]:
+                if u == r - 1:
+                    leaves.add(v)
+                else:
+                    held += u
+        total = sum(self.unrevealed)
         ok = (count_z == self.count_z
-              and count_leaf == self.count_leaf
-              and total_unrevealed == self.unrevealed_total
-              and len(self.point_pool) == self.unrevealed_total
-              and len(self.leaf_pool) == self.count_leaf
-              and len(self.fresh_pool) == self.count_z[r]
+              and leaves == set(self.leaf_pool.items)
+              and fresh == set(self.fresh_pool.items)
+              and (self.point_pool is None or len(self.point_pool) == total)
               and self.full_count == sum(self.full))
         if not ok:
-            raise InvariantViolationError("lazy bookkeeping out of sync")
-        # unrevealed points split into unseen-class points, processable-leaf
-        # points, and points held by dormant forest leaves
-        held = sum(self.unrevealed[v] for v in range(self.n)
-                   if self.in_forest[v] and not self.full[v]
-                   and self.unrevealed[v] != r - 1)
+            raise InvariantViolationError("greedy bookkeeping out of sync")
         decomposed = (sum(i * count_z[i] for i in range(1, r + 1))
-                      + (r - 1) * count_leaf + held)
-        if decomposed != self.unrevealed_total:
+                      + (r - 1) * len(leaves) + held)
+        if decomposed != total:
             raise InvariantViolationError("unrevealed-point decomposition failed")
-        uf = UnionFind(self.n)
+        uf = UnionFind(n)
         for u, v in self.forest:
             if not uf.union(u, v):
-                raise InvariantViolationError("lazy forest has a cycle")
+                raise InvariantViolationError("greedy forest has a cycle")
+
+
+def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
+    """The greedy loop of both modes, run on the fresh state ``s``.
+
+    Point q's partner is fixed[q] when ``fixed`` is given, else a uniform
+    draw from the unrevealed points. Returns (steps or None, trajectory
+    samples, first fresh step or None, full count at the end of phase 1).
+    """
+    n, r = s.n, s.r
+    partner, unrevealed, in_forest = s.partner, s.unrevealed, s.in_forest
+    full, forest, count_z = s.full, s.forest, s.count_z
+    point_pool, leaf_pool, fresh_pool = s.point_pool, s.leaf_pool, s.fresh_pool
+    steps = [] if record_steps else None
+    samples = [s.sample(0, 1)]
+    phase = 1
+    first_fresh_step = full_at_phase1_end = None
+    t = 0
+    op, v = 2, int(rng.integers(n))
+    fresh_pool.discard(v)
+    while True:
+        if op == 2:
+            count_z[r] -= 1
+        partners = []  # vertices of the partners revealed in this step
+        labels = [] if record_steps else None
+        self_pair = False
+        for q in range(v * r, v * r + r):
+            if partner[q] != -1:
+                continue
+            if fixed is None:
+                point_pool.discard(q)
+                p = point_pool.pop_random(rng)
+            else:
+                p = fixed[q]
+            partner[q] = p
+            partner[p] = q
+            w = p // r
+            if w == v:
+                self_pair = True
+                if record_steps:
+                    labels.append((v, "self"))
+                continue
+            if record_steps:
+                labels.append((w, s.class_label(w)))
+            old = unrevealed[w]
+            unrevealed[w] = old - 1
+            if in_forest[w]:
+                if old == r - 1:
+                    leaf_pool.discard(w)
+            else:
+                count_z[old] -= 1
+                count_z[old - 1] += 1
+                if old == r:
+                    fresh_pool.discard(w)
+            partners.append(w)
+        unrevealed[v] = 0
+        inside = 0
+        for w in partners:
+            inside += in_forest[w]
+        success = (not self_pair and inside <= op - 1
+                   and len(set(partners)) == len(partners))
+        if success:
+            for w in partners:
+                forest.append((v, w) if v < w else (w, v))
+                if not in_forest[w]:
+                    in_forest[w] = 1
+                    count_z[unrevealed[w]] -= 1
+                    if unrevealed[w] == r - 1:
+                        leaf_pool.add(w)
+            in_forest[v] = 1
+            full[v] = 1
+            s.full_count += 1
+        elif op == 2:
+            count_z[0] += 1  # retired unseen: all points revealed, never joined
+        if record_steps:
+            steps.append(StepOutcome(op=op, processed=v, success=success,
+                                     partners=labels))
+        if invariant_checks:
+            s.audit()
+        if t and t % sample_stride == 0:
+            samples.append(s.sample(t, phase))
+
+        if len(leaf_pool):
+            op, v = 1, leaf_pool.pop_random(rng)
+        elif len(fresh_pool):
+            if first_fresh_step is None:
+                first_fresh_step = t + 1
+                full_at_phase1_end = s.full_count
+                phase = 2
+            op, v = 2, fresh_pool.pop_random(rng)
+        else:
+            break
+        t += 1
+    if t % sample_stride:
+        samples.append(s.sample(t, phase))
+    return steps, samples, first_fresh_step, full_at_phase1_end
+
+
+def _result(s, tree, connected, steps, first_fresh_step, full_at_phase1_end):
+    n, r = s.n, s.r
+    deg = MultiGraph(n=n, edges=tree).degrees()
+    full_vertices = [v for v in range(n) if s.full[v]]
+    for v in full_vertices:
+        if deg[v] != r:
+            raise InvariantViolationError(
+                f"full-degree vertex {v} has tree degree {deg[v]}")
+    return SpanningTreeResult(
+        n=n, r=r, tree=tree,
+        full_degree_count=s.full_count,
+        leaf_count=deg.count(1),
+        phase1_full_degree_count=(full_at_phase1_end
+                                  if full_at_phase1_end is not None else s.full_count),
+        rho1_empirical=(first_fresh_step / n if first_fresh_step is not None else None),
+        full_vertices=full_vertices,
+        connected=connected,
+        steps=steps,
+    )
+
+
+def run_on_graph(g, rng, record_steps=False):
+    """Run the algorithm on a concrete connected r-regular graph."""
+    r = g.r
+    if r < 3:
+        raise InvalidInputError(f"need r >= 3, got r={r}")
+    n = g.n
+    # point v*r+i pairs with point w*r+j of w = adj[v][i], where j is v's
+    # index in w's sorted list; scanning v upwards meets w's neighbours in
+    # that same order, so j counts the earlier meetings of w
+    met = [0] * n
+    fixed = []
+    for nbrs in g.adjacency:
+        for w in nbrs:
+            fixed.append(w * r + met[w])
+            met[w] += 1
+    s = _State(n, r, lazy=False)
+    # graph mode returns no trajectory; a stride of n keeps only the end samples
+    steps, _, first_fresh_step, full_at_phase1_end = _greedy(
+        s, rng, fixed, n, record_steps, invariant_checks=False)
+    tree, spans = _join_forest(n, s.forest, g.edges(), s.full)
+    if not spans:
+        raise InvalidInputError("graph mode requires a connected input graph")
+    return _result(s, tree, True, steps, first_fresh_step, full_at_phase1_end)
 
 
 def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
@@ -378,207 +403,19 @@ def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
         raise InvalidInputError(f"r*n must be even, got n={n}, r={r}")
     if sample_stride is None:
         sample_stride = max(1, -(-n // 1000))
-    state = _LazyState(n, r)
-    partner = state.partner
-    point_pool = state.point_pool
-    unrevealed = state.unrevealed
-    in_forest = state.in_forest
-    count_z = state.count_z
-    leaf_pool = state.leaf_pool
-    fresh_pool = state.fresh_pool
-    steps = [] if record_steps else None
-    samples = []
-    phase = 1
-
-    def record(t):
-        samples.append((t / n, *(c / n for c in count_z[1:]),
-                        state.count_leaf / n, state.full_count / n,
-                        state.unrevealed_total / n, phase))
-
-    def reveal(q):
-        """Pair point q with a uniform unrevealed point; returns the partner point."""
-        point_pool.remove(q)
-        w_pt = point_pool.pop_random(rng)
-        partner[q] = w_pt
-        partner[w_pt] = q
-        state.unrevealed_total -= 2
-        return w_pt
-
-    def touch(w):
-        """One point of vertex w (not the processed vertex) was just revealed."""
-        old = unrevealed[w]
-        unrevealed[w] = old - 1
-        if in_forest[w]:
-            if old == r - 1:
-                leaf_pool.discard(w)
-                state.count_leaf -= 1
-        else:
-            count_z[old] -= 1
-            count_z[old - 1] += 1
-            if old == r:
-                fresh_pool.discard(w)
-
-    def process(v, op):
-        if op == 1:
-            state.count_leaf -= 1
-        else:
-            count_z[r] -= 1
-        base = v * r
-        partner_vertices = []
-        labeled = [] if record_steps else None
-        self_pair = False
-        for q in range(base, base + r):
-            if partner[q] != -1:
-                continue
-            w_pt = reveal(q)
-            w = w_pt // r
-            if w == v:
-                self_pair = True
-                if record_steps:
-                    labeled.append((v, "self"))
-            else:
-                if record_steps:
-                    labeled.append((w, state.class_label(w)))
-                touch(w)
-                partner_vertices.append(w)
-        unrevealed[v] = 0
-        distinct = len(set(partner_vertices)) == len(partner_vertices)
-        inside = sum(1 for w in partner_vertices if in_forest[w])
-        success = (not self_pair) and distinct and inside <= (0 if op == 1 else 1)
-        if success:
-            for w in partner_vertices:
-                state.forest.append((v, w) if v < w else (w, v))
-                state.forest_deg[v] += 1
-                state.forest_deg[w] += 1
-                if not in_forest[w]:
-                    in_forest[w] = 1
-                    count_z[unrevealed[w]] -= 1
-                    if unrevealed[w] == r - 1:
-                        leaf_pool.add(w)
-                        state.count_leaf += 1
-            in_forest[v] = 1
-            state.full[v] = 1
-            state.full_count += 1
-        else:
-            if op == 2:
-                count_z[0] += 1  # retired unseen: all points revealed, never joined
-        if record_steps:
-            steps.append(StepOutcome(op=op, processed=v, success=success,
-                                     partners=labeled))
-        return success
-
-    record(0)
-    v0 = int(rng.integers(n))
-    fresh_pool.discard(v0)
-    process(v0, 2)
-    if invariant_checks:
-        state.audit()
-
-    t = 0
-    last_recorded = 0
-    first_fresh_step = None
-    full_at_phase1_end = None
-    while len(leaf_pool) or len(fresh_pool):
-        t += 1
-        if len(leaf_pool):
-            v = leaf_pool.pop_random(rng)
-            process(v, 1)
-        else:
-            if first_fresh_step is None:
-                first_fresh_step = t
-                full_at_phase1_end = state.full_count
-                phase = 2
-            v = fresh_pool.pop_random(rng)
-            process(v, 2)
-        if t % sample_stride == 0:
-            record(t)
-            last_recorded = t
-        if invariant_checks:
-            state.audit()
-    if t != last_recorded:
-        record(t)
-
-    _complete_pairing(state, rng)
-    tree, connected = _complete_lazy_forest(state)
-    for v in range(n):
-        if state.full[v] and state.forest_deg[v] != r:
-            raise InvariantViolationError(
-                f"full-degree vertex {v} has forest degree {state.forest_deg[v]}")
-    revealed = Pairing(n=n, r=r, matches=np.asarray(state.partner, dtype=np.int64))
-    result = SpanningTreeResult(
-        n=n, r=r, tree=tree,
-        full_degree_count=state.full_count,
-        leaf_count=_leaf_count(n, tree),
-        phase1_full_degree_count=(full_at_phase1_end
-                                  if full_at_phase1_end is not None
-                                  else state.full_count),
-        rho1_empirical=(first_fresh_step / n
-                        if first_fresh_step is not None else None),
-        full_vertices=[v for v in range(n) if state.full[v]],
-        connected=connected,
-        steps=steps,
-        pairing=revealed,
-    )
+    s = _State(n, r, lazy=True)
+    steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
+        s, rng, None, sample_stride, record_steps, invariant_checks)
+    free = sorted(s.point_pool.items)
+    _pair_lowest_first(s.partner, free, {p: i for i, p in enumerate(free)}, rng)
+    pairing = Pairing(n=n, r=r, matches=np.asarray(s.partner, dtype=np.int64))
+    edges = sorted({e for e in project(pairing).edges if e[0] != e[1]})
+    tree, connected = _join_forest(n, s.forest, edges, s.full)
+    result = _result(s, tree, connected, steps, first_fresh_step, full_at_phase1_end)
+    result.pairing = pairing
     trajectory = Trajectory(r=r, n=n, sample_stride=sample_stride,
                             samples=np.asarray(samples))
     return result, trajectory
-
-
-def _complete_pairing(state, rng):
-    """Pair up all still-unrevealed points, lowest first, uniformly."""
-    remaining = sorted(state.point_pool.items)
-    if not remaining:
-        return
-    pool = list(remaining)
-    pos = {p: i for i, p in enumerate(pool)}
-    draws = rng.random(len(pool) // 2).tolist()
-    k = 0
-    for p in remaining:
-        if state.partner[p] != -1:
-            continue
-        i = pos.pop(p)
-        last = pool.pop()
-        if i < len(pool):
-            pool[i] = last
-            pos[last] = i
-        j = int(draws[k] * len(pool))
-        k += 1
-        q = pool[j]
-        last = pool.pop()
-        if j < len(pool):
-            pool[j] = last
-            pos[last] = j
-        del pos[q]
-        state.partner[p] = q
-        state.partner[q] = p
-    state.point_pool = _DensePool(0)
-    state.unrevealed_total = 0
-
-
-def _complete_lazy_forest(state):
-    """Join forest components using the revealed multigraph, smallest edges first."""
-    n, r = state.n, state.r
-    uf = UnionFind(n)
-    for u, v in state.forest:
-        if not uf.union(u, v):
-            raise InvariantViolationError("lazy forest has a cycle")
-    tree = sorted(state.forest)
-    if uf.components > 1:
-        edges = set()
-        for p in range(n * r):
-            q = state.partner[p]
-            if p < q:
-                u, v = p // r, q // r
-                if u != v:
-                    edges.add((u, v) if u < v else (v, u))
-        for u, v in sorted(edges):
-            if uf.union(u, v):
-                if state.full[u] or state.full[v]:
-                    raise InvariantViolationError(
-                        f"completion tried to add ({u}, {v}) at a full-degree vertex")
-                tree.append((u, v))
-        tree.sort()
-    return tree, uf.components == 1
 
 
 def trajectory_stats(traj):

@@ -116,11 +116,11 @@ def simulate_trials(r, n, trials, seed, mode="lazy", sample_stride=None, jobs=No
         raise InvalidInputError(f"trials must be >= 0, got {trials}")
     work = [(r, n, mode, k, derive_trial_seed(seed, k), sample_stride)
             for k in range(trials)]
-    if jobs is None:
-        jobs = min(trials, os.cpu_count() or 1) or 1
+    # more workers than trials or cores would only add start-up cost
+    jobs = max(1, min(trials if jobs is None else jobs, trials, os.cpu_count() or 1))
     out = [None] * trials
     trajs = [None] * trials
-    if jobs <= 1 or trials <= 1:
+    if jobs == 1:
         for trial, record, traj in map(_run_trial, work):
             out[trial] = record
             trajs[trial] = traj

@@ -159,7 +159,8 @@ def _locate_zero(f, z, h, comp, event_tol):
     """Bisect the step fraction at which coordinate ``comp`` crosses zero.
 
     z[comp] > 0 and the full step lands at or below 0; returns (s, state)
-    with |state[comp]| <= event_tol.
+    with |state[comp]| <= event_tol, or raises EventNotFoundError when the
+    halvings run out first.
     """
     lo, hi = 0.0, h
     best = _rk4_step(f, z, h)
@@ -174,6 +175,10 @@ def _locate_zero(f, z, h, comp, event_tol):
             hi, best = mid, zm
         if hi - lo < 1e-18:
             break
+    if abs(best[comp]) > event_tol:
+        raise EventNotFoundError(
+            f"event not located to {event_tol:g}: bisection stopped at residual "
+            f"|z[{comp}]| = {abs(best[comp]):.3e}")
     return hi, best
 
 

@@ -162,6 +162,7 @@ def test_step_log_records_outcomes():
     # the initial star is logged as the first (always successful) step
     assert res.steps[0].op == 2 and res.steps[0].success
     assert sum(1 for s in res.steps if s.success) == res.full_degree_count
+    # a step lists only newly revealed partners; a leaf's parent edge is known
     for step in res.steps:
         assert step.op in (1, 2)
-        assert len(step.partners) == g.r
+        assert len(step.partners) == (g.r - 1 if step.op == 1 else g.r)

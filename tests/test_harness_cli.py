@@ -32,6 +32,33 @@ def test_simulate_trials_sequential_matches_parallel():
     assert [rec["trial"] for rec in par] == [0, 1, 2, 3]
 
 
+def test_simulate_trials_caps_jobs(monkeypatch):
+    # a stub pool records the worker count, so no process is started
+    asked = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    for jobs, trials in ((64, 3), (64, 9), (None, 9), (2, 9)):
+        records, _ = harness.simulate_trials(3, 20, trials, seed=1, jobs=jobs)
+        assert len(records) == trials
+    assert asked == [3, 4, 4, 2]
+    harness.simulate_trials(3, 20, 1, seed=1, jobs=64)
+    assert asked == [3, 4, 4, 2]  # one trial runs in this process
+
+
 def test_simulate_trials_graph_mode():
     records, trajs = harness.simulate_trials(3, 600, 2, seed=8, mode="graph")
     assert trajs == [None, None]

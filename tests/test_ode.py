@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from fdst.constants import PHASE_BOUNDARIES
-from fdst.errors import (BlendDegenerateError, InvalidInputError,
-                         SingularityError)
+from fdst.errors import (BlendDegenerateError, EventNotFoundError,
+                         InvalidInputError, SingularityError)
 from fdst.ode import (analytic_phase1, blend_phase2, deriv_op1, deriv_op2,
                       initial_state, integrate_two_phase)
 
@@ -116,6 +116,13 @@ def test_integration_guards():
         integrate_two_phase(3, step_size=0.0)
     with pytest.raises(InvalidInputError):
         integrate_two_phase(3, event_tol=-1.0)
+
+
+def test_event_locator_fails_loudly():
+    # no double meets this tolerance here; bisection runs out of halvings and
+    # must say so instead of returning the bracket end
+    with pytest.raises(EventNotFoundError, match="residual"):
+        integrate_two_phase(3, step_size=5e-2, event_tol=1e-300)
 
 
 def test_phase_boundaries_r3_coarse_step():
