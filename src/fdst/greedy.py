@@ -34,8 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .graphs import MultiGraph, Pairing, _pair_lowest_first, is_connected, project
+from .graphs import MultiGraph, Pairing, _pair_uniformly, _simple_edges, is_connected
 from .unionfind import UnionFind
+
+
+def _uniforms(rng):
+    """Endless stream of uniform floats in [0, 1), drawn from ``rng`` 4096 at a time."""
+    while True:
+        yield from rng.random(4096).tolist()
 
 
 class _DensePool:
@@ -69,9 +75,10 @@ class _DensePool:
             self.items[i] = last
             self.pos[last] = i
 
-    def pop_random(self, rng):
+    def pop_random(self, u):
+        """Remove and return items[int(u * len)] for a uniform u in [0, 1)."""
         items = self.items
-        i = int(rng.integers(len(items)))
+        i = int(u * len(items))
         x = items[i]
         last = items.pop()
         if i < len(items):
@@ -250,8 +257,9 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
     """The greedy loop of both modes, run on the fresh state ``s``.
 
     Point q's partner is fixed[q] when ``fixed`` is given, else a uniform
-    draw from the unrevealed points. Returns (steps or None, trajectory
-    samples, first fresh step or None, full count at the end of phase 1).
+    draw from the unrevealed points; every draw reads one `_uniforms` stream.
+    Returns (steps or None, trajectory samples, first fresh step or None,
+    full count at the end of phase 1).
     """
     n, r = s.n, s.r
     partner, unrevealed, in_forest = s.partner, s.unrevealed, s.in_forest
@@ -262,7 +270,8 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
     phase = 1
     first_fresh_step = full_at_phase1_end = None
     t = 0
-    op, v = 2, int(rng.integers(n))
+    draw = _uniforms(rng).__next__
+    op, v = 2, int(draw() * n)
     fresh_pool.discard(v)
     while True:
         if op == 2:
@@ -275,7 +284,7 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
                 continue
             if fixed is None:
                 point_pool.discard(q)
-                p = point_pool.pop_random(rng)
+                p = point_pool.pop_random(draw())
             else:
                 p = fixed[q]
             partner[q] = p
@@ -327,13 +336,13 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
             samples.append(s.sample(t, phase))
 
         if len(leaf_pool):
-            op, v = 1, leaf_pool.pop_random(rng)
+            op, v = 1, leaf_pool.pop_random(draw())
         elif len(fresh_pool):
             if first_fresh_step is None:
                 first_fresh_step = t + 1
                 full_at_phase1_end = s.full_count
                 phase = 2
-            op, v = 2, fresh_pool.pop_random(rng)
+            op, v = 2, fresh_pool.pop_random(draw())
         else:
             break
         t += 1
@@ -406,11 +415,12 @@ def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
     s = _State(n, r, lazy=True)
     steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
         s, rng, None, sample_stride, record_steps, invariant_checks)
-    free = sorted(s.point_pool.items)
-    _pair_lowest_first(s.partner, free, {p: i for i, p in enumerate(free)}, rng)
-    pairing = Pairing(n=n, r=r, matches=np.asarray(s.partner, dtype=np.int64))
-    edges = sorted({e for e in project(pairing).edges if e[0] != e[1]})
-    tree, connected = _join_forest(n, s.forest, edges, s.full)
+    matches = np.asarray(s.partner, dtype=np.int64)
+    _pair_uniformly(matches, np.flatnonzero(matches == -1), rng)
+    pairing = Pairing(n=n, r=r, matches=matches)
+    pts = np.flatnonzero(np.arange(n * r) < matches)  # the lower point of each pair
+    lo, hi = _simple_edges(n, pts // r, matches[pts] // r)
+    tree, connected = _join_forest(n, s.forest, zip(lo, hi), s.full)
     result = _result(s, tree, connected, steps, first_fresh_step, full_at_phase1_end)
     result.pairing = pairing
     trajectory = Trajectory(r=r, n=n, sample_stride=sample_stride,

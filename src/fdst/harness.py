@@ -1,10 +1,10 @@
 """Experiment layer: reproducible trials, table reproduction, trajectory
 comparison, and the CSV/JSON artifact formats shared with the CLI.
 
-All randomness is derived from one user seed; trial k runs on
-seed ^ hash(k) (identical to seed ^ k for the nonnegative ints used here),
-so re-running a config reproduces every artifact byte for byte apart from
-the timestamp field.
+All randomness is derived from one user seed; trial k runs on a 64-bit
+seed drawn from ``np.random.SeedSequence([seed, k])``, so distinct base
+seeds give unrelated trial seeds, and re-running a config reproduces every
+artifact byte for byte apart from the timestamp field.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from .ode import integrate_two_phase
 
 
 def derive_trial_seed(seed, k):
-    return seed ^ hash(k)
+    """Seed of trial k under base seed ``seed``: a nonnegative int that JSON holds."""
+    return int(np.random.SeedSequence([seed, k]).generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +80,9 @@ def read_trajectory_csv(path):
 # ---------------------------------------------------------------------------
 
 def _run_trial(args):
-    r, n, mode, trial, trial_seed, sample_stride = args
+    r, n, mode, trial, seed, sample_stride = args
+    # derived in the trial, so a parent that only dispatches never loads np.random
+    trial_seed = derive_trial_seed(seed, trial)
     rng = np.random.default_rng(trial_seed)
     if mode == "lazy":
         result, traj = run_lazy(n, r, rng, sample_stride=sample_stride)
@@ -114,8 +117,7 @@ def simulate_trials(r, n, trials, seed, mode="lazy", sample_stride=None, jobs=No
     """Run independent seeded trials; returns (records, trajectories) by trial index."""
     if trials < 0:
         raise InvalidInputError(f"trials must be >= 0, got {trials}")
-    work = [(r, n, mode, k, derive_trial_seed(seed, k), sample_stride)
-            for k in range(trials)]
+    work = [(r, n, mode, k, seed, sample_stride) for k in range(trials)]
     # more workers than trials or cores would only add start-up cost
     jobs = max(1, min(trials if jobs is None else jobs, trials, os.cpu_count() or 1))
     out = [None] * trials
@@ -319,9 +321,6 @@ def merged_overlay_rows(r, sim_samples_list, sol_samples):
             acc += np.interp(grid, cols["x"], cols[name])
         sim_means[name] = acc / len(sim_samples_list)
     header = ["x"] + [f"sim_{n}" for n in names] + [f"sol_{n}" for n in names]
-    rows = []
-    for i, x in enumerate(grid):
-        row = [x] + [sim_means[n][i] for n in names]
-        row += [float(np.interp(x, sol["x"], sol[n])) for n in names]
-        rows.append(row)
-    return header, rows
+    columns = ([grid] + [sim_means[n] for n in names]
+               + [np.interp(grid, sol["x"], sol[n]) for n in names])
+    return header, np.column_stack(columns).tolist()

@@ -1,4 +1,6 @@
 """Configuration-model sampling, projection, simplicity, and graph io."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,41 @@ def test_pairing_rejects_odd_point_count():
         sample_pairing(5, 3, np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
         sample_pairing(3, 1, np.random.default_rng(0))
+
+
+def _chi_square(counts, expected):
+    return sum((c - expected) ** 2 / expected for c in counts)
+
+
+def test_pairing_distribution_n2_r3():
+    # six points have 15 perfect matchings; each must be equally likely
+    rng = np.random.default_rng(31)
+    counts = Counter(tuple(sample_pairing(2, 3, rng).matches.tolist())
+                     for _ in range(6000))
+    assert len(counts) == 15
+    assert _chi_square(counts.values(), 6000 / 15) < 36.1  # 0.999 quantile, 14 dof
+
+
+def test_sample_simple_regular_distribution_n6():
+    # there are 70 labelled cubic graphs on six vertices; each must be equally likely
+    rng = np.random.default_rng(32)
+    draws = 14_000
+    counts = Counter(tuple(map(tuple, sample_simple_regular(6, 3, rng).adjacency))
+                     for _ in range(draws))
+    assert len(counts) == 70
+    assert _chi_square(counts.values(), draws / 70) < 111.1  # 0.999 quantile, 69 dof
+
+
+def test_sample_simple_regular_is_rejection_over_sample_pairing():
+    # the array sampler accepts the first pairing whose projection is simple
+    for seed in range(20):
+        g = sample_simple_regular(12, 3, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        rejections = 0
+        while not is_simple(mg := project(sample_pairing(12, 3, rng))):
+            rejections += 1
+        assert g.rejections == rejections
+        assert g.adjacency == graph_from_edges(12, mg.edges, r=3).adjacency
 
 
 def test_project_single_loop():

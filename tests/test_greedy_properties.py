@@ -4,14 +4,15 @@ Graph mode runs the lazy-mode loop with the graph's own pairing. The
 reference below is the earlier stand-alone graph-mode loop, whose success
 rule is "at most one neighbour already in the tree"; on any connected
 simple regular graph both must make the same random draws and build the
-same tree.
+same tree. Both read their random choices from the same block-drawn
+stream of uniforms, and a pool pops index int(u * len) for the next u.
 """
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fdst.graphs import is_connected, sample_simple_regular
-from fdst.greedy import complete_to_spanning_tree, run_lazy, run_on_graph
+from fdst.greedy import _uniforms, complete_to_spanning_tree, run_lazy, run_on_graph
 
 
 class IndexedSet:
@@ -41,8 +42,8 @@ class IndexedSet:
             self.items[i] = last
             self.pos[last] = i
 
-    def pop_random(self, rng):
-        i = int(rng.integers(len(self.items)))
+    def pop_random(self, u):
+        i = int(u * len(self.items))
         x = self.items[i]
         self.discard(x)
         return x
@@ -51,12 +52,13 @@ class IndexedSet:
 def reference_run_on_graph(g, rng):
     """Graph mode as a loop of its own: (tree, full vertices, phase-1 count, rho1)."""
     n, adj = g.n, g.adjacency
+    draw = _uniforms(rng).__next__
     in_tree = bytearray(n)
     forest = set()
     full = bytearray(n)
     leaf_pool = IndexedSet()
     fresh_pool = IndexedSet(range(n))
-    v0 = int(rng.integers(n))
+    v0 = int(draw() * n)
     fresh_pool.discard(v0)
     in_tree[v0] = 1
     for w in adj[v0]:
@@ -71,12 +73,12 @@ def reference_run_on_graph(g, rng):
     while len(leaf_pool) or len(fresh_pool):
         t += 1
         if len(leaf_pool):
-            v = leaf_pool.pop_random(rng)
+            v = leaf_pool.pop_random(draw())
         else:
             if first_fresh_step is None:
                 first_fresh_step = t
                 full_at_phase1_end = sum(full)
-            v = fresh_pool.pop_random(rng)
+            v = fresh_pool.pop_random(draw())
         in_tree_nbrs = sum(1 for w in adj[v] if in_tree[w])
         if in_tree_nbrs <= 1:
             for w in adj[v]:

@@ -19,10 +19,40 @@ def read_json_without_timestamp(path):
 
 
 def test_trial_seed_derivation():
-    assert harness.derive_trial_seed(100, 0) == 100
-    assert harness.derive_trial_seed(100, 7) == 100 ^ 7
-    seeds = {harness.derive_trial_seed(9, k) for k in range(50)}
-    assert len(seeds) == 50
+    # base seeds that differ only in low bits must not share trial seeds
+    zero = [harness.derive_trial_seed(0, k) for k in range(50)]
+    one = [harness.derive_trial_seed(1, k) for k in range(50)]
+    assert len(set(zero)) == len(set(one)) == 50
+    assert not set(zero) & set(one)
+    assert zero == [harness.derive_trial_seed(0, k) for k in range(50)]
+    assert all(type(s) is int and 0 <= s < 2**64 for s in zero + one)
+    assert json.loads(json.dumps(zero)) == zero
+
+
+def test_merged_overlay_rows_match_pointwise_interpolation():
+    r = 3
+    rng = np.random.default_rng(4)
+
+    def samples(xs):
+        vals = rng.random((len(xs), r + 3))
+        return np.column_stack([xs, vals, np.ones(len(xs))])
+
+    sims = [samples(np.linspace(0.0, 1.0, 9)), samples(np.linspace(0.0, 1.2, 23))]
+    sol = samples(np.sort(np.concatenate([[0.0, 0.9], rng.random(40) * 0.9])))
+    header, rows = harness.merged_overlay_rows(r, sims, sol)
+    names = ["z1", "z2", "z3", "zL", "zF", "zM_over_r"]
+    assert header == ["x"] + [f"sim_{v}" for v in names] + [f"sol_{v}" for v in names]
+    grid = [x for x in sims[0][:, 0] if x <= 0.9]
+    assert [row[0] for row in rows] == grid
+    for row, x in zip(rows, grid):
+        expected_sim, expected_sol = [], []
+        for name in names:
+            acc = 0.0
+            for sim in sims:
+                acc += float(np.interp(x, sim[:, 0], harness._columns(r, sim)[name]))
+            expected_sim.append(acc / len(sims))
+            expected_sol.append(float(np.interp(x, sol[:, 0], harness._columns(r, sol)[name])))
+        assert row[1:] == expected_sim + expected_sol
 
 
 def test_simulate_trials_sequential_matches_parallel():
