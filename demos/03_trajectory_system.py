@@ -5,14 +5,14 @@ Run:  python demos/03_trajectory_system.py
 import numpy as np
 
 from fdst.constants import FULL_DEGREE_FRACTION
-from fdst.ode import analytic_phase1, integrate_two_phase
+from fdst.ode import analytic_phase1, columns, integrate_two_phase
 
 print("=" * 64)
 print("r = 3 in detail")
 print("=" * 64)
 res = integrate_two_phase(3, step_size=1e-4)
 print(f"phase 1 ends when the processable-leaf class empties: rho1 = {res.rho1:.4f}")
-names = ["z1", "z2", "z3", "zL", "zF", "zM"]
+names = columns(3)[1:-1]
 state = ", ".join(f"{k}={v:.4f}" for k, v in zip(names, res.phase1_end_state))
 print(f"state there: {state}")
 print(f"phase 2 ends when the unseen class empties: rho2 = {res.rho2:.4f}")

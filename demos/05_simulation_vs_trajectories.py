@@ -16,8 +16,7 @@ TRIALS = 3
 
 print(f"integrating the r={R} system ...")
 sol = integrate_two_phase(R, step_size=1e-4)
-xs, states, phases = sol.merged_grid()
-sol_samples = np.column_stack([xs, states, phases])
+sol_samples = sol.samples
 
 print(f"running {TRIALS} lazy trials at n={N} ...")
 records, trajs = harness.simulate_trials(R, N, TRIALS, seed=99, jobs=1)

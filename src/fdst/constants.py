@@ -23,11 +23,6 @@ FULL_DEGREE_FRACTION = {
 }
 
 
-def leaf_upper_fraction(r):
-    """Deterministic bound: no spanning tree has more than n/(r-1) full vertices."""
-    return 1.0 / (r - 1)
-
-
 PHASE_BOUNDARIES = {
     3: {
         "rho1": 0.6485,

@@ -319,23 +319,26 @@ def kirchhoff_tree_count(g):
 
 def exact_result(g, tree_guard=12, star_guard=24, cds_guard=20,
                  cross_check_tree_limit=500_000):
-    """Full ExactResult with a cross-checked phi when the tree oracle is cheap.
+    """Full ExactResult with cross-checked phi and lambda when the tree oracle is cheap.
 
     The enumeration cross-check runs when n fits the tree guard and the
     Kirchhoff count stays under ``cross_check_tree_limit``; enumerating a
     dense graph's millions of trees adds nothing over the star search.
     """
     phi_s, full_set = phi_exact_stars(g, max_vertices=star_guard)
-    if g.n <= tree_guard and kirchhoff_tree_count(g) <= cross_check_tree_limit:
+    lam, gamma, tree, cds = lambda_gamma_exact(g, max_vertices=cds_guard)
+    if g.n <= tree_guard and (count := kirchhoff_tree_count(g)) <= cross_check_tree_limit:
         ext = spanning_tree_extrema(g, max_vertices=tree_guard)
         if ext.max_full != phi_s:
             raise InvariantViolationError(
                 f"oracle disagreement: trees say {ext.max_full}, stars say {phi_s}")
-        if ext.tree_count != kirchhoff_tree_count(g):
+        if ext.max_leaves != lam:
             raise InvariantViolationError(
-                f"enumerated {ext.tree_count} trees, determinant says "
-                f"{kirchhoff_tree_count(g)}")
-    lam, gamma, tree, cds = lambda_gamma_exact(g, max_vertices=cds_guard)
+                f"oracle disagreement: trees say lambda = {ext.max_leaves}, "
+                f"CDS search says {lam}")
+        if ext.tree_count != count:
+            raise InvariantViolationError(
+                f"enumerated {ext.tree_count} trees, determinant says {count}")
     return ExactResult(phi=phi_s, lam=lam, gamma_c=gamma,
                        witness_tree=tree, witness_cds=cds,
                        witness_full_set=full_set)

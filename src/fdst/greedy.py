@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
 from .graphs import MultiGraph, Pairing, _pair_uniformly, _simple_edges, is_connected
+from .ode import columns
 from .unionfind import UnionFind
 
 
@@ -98,7 +99,7 @@ class StepOutcome:
 
 @dataclass
 class Trajectory:
-    """Scaled per-step samples: columns x, z_1..z_r, z_L, z_F, z_M, phase."""
+    """Scaled per-step samples in the ``fdst.ode.columns(r)`` layout."""
 
     r: int
     n: int
@@ -106,13 +107,11 @@ class Trajectory:
     samples: np.ndarray
 
     def header(self):
-        zs = ",".join(f"z{i}" for i in range(1, self.r + 1))
-        return f"x,{zs},zL,zF,zM,phase"
+        return ",".join(columns(self.r))
 
     def column(self, name):
-        names = self.header().split(",")
         try:
-            return self.samples[:, names.index(name)]
+            return self.samples[:, columns(self.r).index(name)]
         except ValueError:
             raise InvalidInputError(f"unknown trajectory column {name!r}") from None
 

@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import constants
 from .errors import InvalidInputError
 from .graphs import is_connected, sample_simple_regular
 from .greedy import run_lazy, run_on_graph
-from .ode import integrate_two_phase
+from .ode import columns, integrate_two_phase
 
 
 def derive_trial_seed(seed, k):
@@ -40,25 +40,16 @@ def write_json(obj, path):
         fh.write("\n")
 
 
-def write_trajectory_csv(traj, path):
+def write_trajectory_csv(table, path):
+    """Write the sample table of a simulated Trajectory or an ODE TrajectoryResult.
+
+    Both carry ``r`` and ``samples`` in the ``fdst.ode.columns(r)`` layout.
+    """
     with open(path, "w") as fh:
-        fh.write(traj.header() + "\n")
-        for row in traj.samples:
+        fh.write(",".join(columns(table.r)) + "\n")
+        for row in table.samples:
             cells = [repr(float(v)) for v in row[:-1]]
             cells.append(str(int(row[-1])))
-            fh.write(",".join(cells) + "\n")
-
-
-def write_solution_csv(result, path):
-    """ODE solution grid in the same column layout as simulation trajectories."""
-    xs, states, phases = result.merged_grid()
-    r = result.r
-    zs = ",".join(f"z{i}" for i in range(1, r + 1))
-    with open(path, "w") as fh:
-        fh.write(f"x,{zs},zL,zF,zM,phase\n")
-        for x, row, ph in zip(xs, states, phases):
-            cells = [repr(float(x))] + [repr(float(v)) for v in row]
-            cells.append(str(int(ph)))
             fh.write(",".join(cells) + "\n")
 
 
@@ -67,10 +58,8 @@ def read_trajectory_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    z_cols = [c for c in header if c.startswith("z") and c[1:].isdigit()]
-    r = len(z_cols)
-    expected = ["x"] + [f"z{i}" for i in range(1, r + 1)] + ["zL", "zF", "zM", "phase"]
-    if header != expected:
+    r = len(header) - len(columns(0))  # z1..zr are the only r-dependent columns
+    if header != columns(r):
         raise InvalidInputError(f"{path}: unexpected header {header}")
     return r, data
 
@@ -201,17 +190,14 @@ def reproduce_table1(step=None, event_tol=None, rs=range(3, 11)):
 # ---------------------------------------------------------------------------
 
 def _variable_names(r):
-    return [f"z{i}" for i in range(1, r + 1)] + ["zL", "zF", "zM_over_r"]
+    """The compared variables: the state coordinates, with zM normalized by r."""
+    return columns(r)[1:-2] + ["zM_over_r"]
 
 
 def _columns(r, samples):
-    """Map variable name -> column values, with zM pre-normalized by r."""
-    cols = {"x": samples[:, 0]}
-    for i in range(1, r + 1):
-        cols[f"z{i}"] = samples[:, i]
-    cols["zL"] = samples[:, r + 1]
-    cols["zF"] = samples[:, r + 2]
-    cols["zM_over_r"] = samples[:, r + 3] / r
+    """Map column name -> column values, with zM pre-normalized by r."""
+    cols = dict(zip(columns(r), samples.T))
+    cols["zM_over_r"] = cols.pop("zM") / r
     return cols
 
 
@@ -256,19 +242,7 @@ class CompareReport:
         return self.sup_passed and self.mean_passed
 
     def to_dict(self):
-        return {
-            "r": self.r,
-            "per_trial_deviations": self.per_trial_deviations,
-            "max_deviations": self.max_deviations,
-            "mean_final_full_fraction": self.mean_final_full_fraction,
-            "std_final_full_fraction": self.std_final_full_fraction,
-            "reference_full_fraction": self.reference_full_fraction,
-            "sup_tolerance": self.sup_tolerance,
-            "mean_tolerance": self.mean_tolerance,
-            "sup_passed": self.sup_passed,
-            "mean_passed": self.mean_passed,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def compare_simulations_to_solution(r, sim_samples_list, sol_samples, finals,
@@ -283,7 +257,7 @@ def compare_simulations_to_solution(r, sim_samples_list, sol_samples, finals,
         per_trial.append(sup_deviations(r, samples, sol_samples))
     max_devs = {name: max(d[name] for d in per_trial) if per_trial else 0.0
                 for name in _variable_names(r)}
-    f_ref = float(sol_samples[-1, r + 2])
+    f_ref = float(_columns(r, sol_samples)["zF"][-1])
     mean_final = float(np.mean(finals)) if len(finals) else float("nan")
     std_final = float(np.std(finals)) if len(finals) else float("nan")
     sup_ok = all(v <= sup_tol for v in max_devs.values())

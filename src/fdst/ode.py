@@ -22,10 +22,17 @@ from .errors import (BlendDegenerateError, EventNotFoundError, InvalidInputError
                      SingularityError)
 
 Z_M_FLOOR = 1e-6
-ARM_THRESHOLD = 1e-4
 NEGATIVE_CLIP = 1e-12
 DEFAULT_STEP = 1e-5
 DEFAULT_EVENT_TOL = 1e-10
+
+
+def columns(r):
+    """Column names of a sample table: x, the state coordinates, phase.
+
+    ODE solutions and simulated trajectories share this layout.
+    """
+    return ["x", *(f"z{i}" for i in range(1, r + 1)), "zL", "zF", "zM", "phase"]
 
 
 @dataclass
@@ -48,15 +55,11 @@ class TrajectoryResult:
     phase1: PhaseSolution
     phase2: PhaseSolution
 
-    def merged_grid(self):
-        """Concatenated (xs, states, phase-labels) over both phases."""
-        xs = np.concatenate([self.phase1.xs, self.phase2.xs])
-        states = np.vstack([self.phase1.states, self.phase2.states])
-        phases = np.concatenate([
-            np.ones(len(self.phase1.xs), dtype=int),
-            np.full(len(self.phase2.xs), 2, dtype=int),
-        ])
-        return xs, states, phases
+    @property
+    def samples(self):
+        """Both phases as one table in the ``columns(r)`` layout."""
+        return np.vstack([np.column_stack([p.xs, p.states, np.full(len(p.xs), p.phase)])
+                          for p in (self.phase1, self.phase2)])
 
 
 def _check_r(r):
@@ -188,14 +191,13 @@ def _clip_small_negatives(z):
             z[i] = 0.0
 
 
-def _integrate_phase(r, f, z0, x0, step, event_comp, event_tol, arm_threshold, phase):
-    """Fixed-step march until ``event_comp`` crosses zero (after arming)."""
+def _integrate_phase(f, z0, x0, step, event_comp, event_tol, phase):
+    """Fixed-step march until ``event_comp`` changes sign from positive to <= 0."""
     cap = int(2.0 / step) + 8
     xs = [x0]
     rows = [list(z0)]
     z = list(z0)
     x = x0
-    armed = arm_threshold is None or z[event_comp] > arm_threshold
     for _ in range(cap):
         try:
             zn = _rk4_step(f, z, step)
@@ -207,9 +209,7 @@ def _integrate_phase(r, f, z0, x0, step, event_comp, event_tol, arm_threshold, p
             if exc.x is None:
                 exc.x = x
             raise
-        if not armed and zn[event_comp] > arm_threshold:
-            armed = True
-        if armed and zn[event_comp] <= 0.0:
+        if z[event_comp] > 0.0 >= zn[event_comp]:
             s, z_end = _locate_zero(f, z, step, event_comp, event_tol)
             rho = x + s
             _clip_small_negatives(z_end)
@@ -242,13 +242,14 @@ def integrate_two_phase(r, step_size=DEFAULT_STEP, event_tol=DEFAULT_EVENT_TOL):
     if not event_tol > 0.0:
         raise InvalidInputError(f"event_tol must be positive, got {event_tol}")
     z0 = initial_state(r)
+    # phase 1 starts at z_L = 0 and z_L rises at slope r-2 > 0, so only its
+    # return to zero is a sign change
     phase1 = _integrate_phase(
-        r, lambda z: deriv_op1(r, z), z0, 0.0, step_size,
-        event_comp=r, event_tol=event_tol, arm_threshold=ARM_THRESHOLD, phase=1)
+        lambda z: deriv_op1(r, z), z0, 0.0, step_size,
+        event_comp=r, event_tol=event_tol, phase=1)
     phase2 = _integrate_phase(
-        r, lambda z: blend_phase2(r, z), phase1.end_state.tolist(), phase1.rho,
-        step_size, event_comp=r - 1, event_tol=event_tol,
-        arm_threshold=None, phase=2)
+        lambda z: blend_phase2(r, z), phase1.end_state.tolist(), phase1.rho,
+        step_size, event_comp=r - 1, event_tol=event_tol, phase=2)
     end = phase2.end_state
     return TrajectoryResult(
         r=r,

@@ -87,8 +87,7 @@ def test_criterion_04_closed_forms(table1):
 
 def test_criterion_05_simulation_concentration(sim_batch_r3, ode_r3):
     records, trajs, elapsed = sim_batch_r3
-    xs, states, phases = ode_r3.merged_grid()
-    sol = np.column_stack([xs, states, phases])
+    sol = ode_r3.samples
     finals = [rec["full_degree_count"] / rec["n"] for rec in records]
     mean_dev = abs(float(np.mean(finals)) - 0.4591)
     worst_sup = 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdst.catalog import (are_isomorphic, cycle_graph, named_graph, prism_graph)
-from fdst.errors import InvalidInputError, SizeGuardError
+from fdst.errors import InvalidInputError, InvariantViolationError, SizeGuardError
 from fdst.exact import (check_propositions, construct_grid_torus,
                         construct_prism_torus, exact_result,
                         lambda_exact_trees, lambda_gamma_exact,
@@ -207,3 +207,13 @@ def test_exact_result_cross_checks(cubic_corpus):
     res = exact_result(named_graph("petersen"))
     assert (res.phi, res.lam, res.gamma_c) == (4, 6, 4)
     assert star_union_is_forest(named_graph("petersen"), res.witness_full_set)
+
+
+def test_exact_result_rejects_lambda_disagreement(monkeypatch):
+    def off_by_one(g, max_vertices=20):
+        lam, gamma, tree, cds = lambda_gamma_exact(g, max_vertices)
+        return lam + 1, gamma, tree, cds
+
+    monkeypatch.setattr("fdst.exact.lambda_gamma_exact", off_by_one)
+    with pytest.raises(InvariantViolationError, match="lambda"):
+        exact_result(named_graph("petersen"))

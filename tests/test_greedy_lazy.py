@@ -149,7 +149,7 @@ def test_determinism():
 
 def test_trajectory_matches_ode_moderate_n(ode_r3):
     _, traj = run_lazy(30_000, 3, np.random.default_rng(5))
-    xs, states, _ = ode_r3.merged_grid()
+    xs, states = ode_r3.samples[:, 0], ode_r3.samples[:, 1:-1]
     sim_x = traj.column("x")
     mask = sim_x <= ode_r3.rho2
     for col, name, tol in ((3, "z3", 0.015), (4, "zL", 0.015), (5, "zF", 0.01)):

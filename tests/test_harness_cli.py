@@ -110,8 +110,7 @@ def test_std_shrinks_with_n(sim_batch_r3):
 
 
 def test_deviations_shrink_with_n(sim_batch_r3, ode_r3):
-    xs, states, phases = ode_r3.merged_grid()
-    sol_samples = np.column_stack([xs, states, phases])
+    sol_samples = ode_r3.samples
     _, trajs_small = harness.simulate_trials(3, 1000, 20, seed=3)
     small_devs = [harness.sup_deviations(3, t.samples, sol_samples)
                   for t in trajs_small]
@@ -135,7 +134,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 def test_solution_csv_header(tmp_path, ode_r3):
     path = tmp_path / "sol.csv"
-    harness.write_solution_csv(ode_r3, path)
+    harness.write_trajectory_csv(ode_r3, path)
     with open(path) as fh:
         assert fh.readline().strip() == "x,z1,z2,z3,zL,zF,zM,phase"
     r, samples = harness.read_trajectory_csv(path)
@@ -146,7 +145,7 @@ def test_solution_csv_header(tmp_path, ode_r3):
 def test_cli_simulate_and_compare(tmp_path, ode_r3):
     sim_dir = tmp_path / "sim"
     sol_csv = tmp_path / "sol.csv"
-    harness.write_solution_csv(ode_r3, sol_csv)
+    harness.write_trajectory_csv(ode_r3, sol_csv)
     rc = main(["simulate", "--r", "3", "--n", "4000", "--trials", "2",
                "--seed", "11", "--jobs", "1", "--out", str(sim_dir)])
     assert rc == 0
@@ -281,12 +280,26 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 
 def test_end_to_end_determinism(tmp_path):
-    args = ["simulate", "--r", "3", "--n", "3000", "--trials", "2",
-            "--seed", "77", "--jobs", "1"]
-    assert main(args + ["--out", str(tmp_path / "x")]) == 0
-    assert main(args + ["--out", str(tmp_path / "y")]) == 0
-    for name in os.listdir(tmp_path / "x"):
-        if name.endswith(".json"):
+    commands = [
+        ["simulate", "--r", "3", "--n", "3000", "--trials", "2",
+         "--seed", "77", "--jobs", "1"],
+        ["integrate", "--r", "3", "--step", "1e-3"],
+        ["reproduce-table1", "--step", "1e-3"],
+        ["exact", "--graph", "petersen"],
+    ]
+    for run in ("x", "y"):
+        for args in commands:
+            assert main(args + ["--out", str(tmp_path / run / args[0])]) == 0
+
+    def files(run):
+        root = tmp_path / run
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    names = files("x")
+    assert files("y") == names
+    assert {name.parts[0] for name in names} == {args[0] for args in commands}
+    for name in names:
+        if name.suffix == ".json":
             a = read_json_without_timestamp(tmp_path / "x" / name)
             b = read_json_without_timestamp(tmp_path / "y" / name)
             assert a == b, name
