@@ -10,10 +10,10 @@ from fdst.ode import analytic_phase1, columns, integrate_two_phase
 print("=" * 64)
 print("r = 3 in detail")
 print("=" * 64)
-res = integrate_two_phase(3, step_size=1e-4)
+res = integrate_two_phase(3)
 print(f"phase 1 ends when the processable-leaf class empties: rho1 = {res.rho1:.4f}")
 names = columns(3)[1:-1]
-state = ", ".join(f"{k}={v:.4f}" for k, v in zip(names, res.phase1_end_state))
+state = ", ".join(f"{k}={v:.4f}" for k, v in zip(names, res.phase1.end_state))
 print(f"state there: {state}")
 print(f"phase 2 ends when the unseen class empties: rho2 = {res.rho2:.4f}")
 print(f"full-degree yield f_3 = zF(rho2) = {res.f_r:.4f} "
@@ -32,9 +32,9 @@ print(f"sup |z3 - (1 - 2(r-1)x/r)^(r/2)|  = "
 
 print()
 print("=" * 64)
-print("f_r for r = 3..10 (step 1e-4 for a quick demo)")
+print("f_r for r = 3..10")
 print("=" * 64)
 print(f"{'r':>3} {'f_r':>9} {'reference':>10} {'u_r':>8}")
 for r in range(3, 11):
-    out = integrate_two_phase(r, step_size=1e-4)
+    out = integrate_two_phase(r)
     print(f"{r:>3} {out.f_r:>9.4f} {FULL_DEGREE_FRACTION[r]:>10.4f} {out.u_r:>8.4f}")

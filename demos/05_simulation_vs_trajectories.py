@@ -15,7 +15,7 @@ N = 50_000
 TRIALS = 3
 
 print(f"integrating the r={R} system ...")
-sol = integrate_two_phase(R, step_size=1e-4)
+sol = integrate_two_phase(R)
 sol_samples = sol.samples
 
 print(f"running {TRIALS} lazy trials at n={N} ...")

@@ -95,7 +95,6 @@ def cmd_simulate(args):
 
 def cmd_integrate(args):
     res = integrate_two_phase(args.r, step_size=args.step, event_tol=args.event_tol)
-    end = res.phase1_end_state
     names = columns(res.r)[1:-1]
     payload = {
         "r": res.r,
@@ -103,7 +102,7 @@ def cmd_integrate(args):
         "rho2": res.rho2,
         "f_r": res.f_r,
         "u_r": res.u_r,
-        "phase1_end_state": {name: float(v) for name, v in zip(names, end)},
+        "phase1_end_state": {name: float(v) for name, v in zip(names, res.phase1.end_state)},
     }
     out = _ensure_out(args)
     if out:
@@ -271,8 +270,8 @@ def _build_parser(config):
 
     tab = sub.add_parser("reproduce-table1",
                          help="integrate r=3..10 and check f_r against the reference table")
-    tab.add_argument("--step", type=float, default=None)
-    tab.add_argument("--event-tol", type=float, default=None)
+    tab.add_argument("--step", type=float, default=DEFAULT_STEP)
+    tab.add_argument("--event-tol", type=float, default=DEFAULT_EVENT_TOL)
     tab.add_argument("--out", default=None)
     tab.set_defaults(func=cmd_reproduce_table1)
 

@@ -20,7 +20,7 @@ from . import constants
 from .errors import InvalidInputError
 from .graphs import is_connected, sample_simple_regular
 from .greedy import run_lazy, run_on_graph
-from .ode import columns, integrate_two_phase
+from .ode import DEFAULT_EVENT_TOL, DEFAULT_STEP, columns, integrate_two_phase
 
 
 def derive_trial_seed(seed, k):
@@ -150,18 +150,13 @@ def aggregate_trials(records):
 # table reproduction
 # ---------------------------------------------------------------------------
 
-def reproduce_table1(step=None, event_tol=None, rs=range(3, 11)):
+def reproduce_table1(step=DEFAULT_STEP, event_tol=DEFAULT_EVENT_TOL, rs=range(3, 11)):
     """Integrate every r, compare f_r against the reference table."""
-    kwargs = {}
-    if step is not None:
-        kwargs["step_size"] = step
-    if event_tol is not None:
-        kwargs["event_tol"] = event_tol
     rows = []
     solutions = {}
     t0 = time.perf_counter()
     for r in rs:
-        res = integrate_two_phase(r, **kwargs)
+        res = integrate_two_phase(r, step_size=step, event_tol=event_tol)
         solutions[r] = res
         ref = constants.FULL_DEGREE_FRACTION[r]
         rows.append({
@@ -202,25 +197,22 @@ def _columns(r, samples):
 
 
 def sup_deviations(r, sim_samples, sol_samples):
-    """Per-variable sup-norm deviation on the common grid.
+    """Per-variable sup-norm deviation of a simulation from a solution.
 
-    The denser of the two series is linearly interpolated onto the sparser
-    grid, restricted to the overlapping x-range.
+    The solution is linearly interpolated onto the simulated grid, restricted
+    to the overlapping x-range, whichever series has more rows. At the
+    default step that interpolation errs by under 1e-4 for r <= 10.
     """
     sim = _columns(r, sim_samples)
     sol = _columns(r, sol_samples)
     hi = min(sim["x"][-1], sol["x"][-1])
     lo = max(sim["x"][0], sol["x"][0])
-    if len(sim["x"]) <= len(sol["x"]):
-        base, dense = sim, sol
-    else:
-        base, dense = sol, sim
-    mask = (base["x"] >= lo) & (base["x"] <= hi)
-    grid = base["x"][mask]
+    mask = (sim["x"] >= lo) & (sim["x"] <= hi)
+    grid = sim["x"][mask]
     devs = {}
     for name in _variable_names(r):
-        dense_vals = np.interp(grid, dense["x"], dense[name])
-        devs[name] = float(np.max(np.abs(base[name][mask] - dense_vals)))
+        sol_vals = np.interp(grid, sol["x"], sol[name])
+        devs[name] = float(np.max(np.abs(sim[name][mask] - sol_vals)))
     return devs
 
 

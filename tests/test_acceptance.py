@@ -40,7 +40,7 @@ def test_criterion_01_table_reproduction(table1):
 
 def test_criterion_02_phase_boundaries_r3(ode_r3):
     ref = PHASE_BOUNDARIES[3]
-    end = ode_r3.phase1_end_state
+    end = ode_r3.phase1.end_state
     values = {
         "rho1": (ode_r3.rho1, ref["rho1"]),
         "rho2": (ode_r3.rho2, ref["rho2"]),
@@ -57,7 +57,7 @@ def test_criterion_02_phase_boundaries_r3(ode_r3):
 
 def test_criterion_03_phase_boundaries_r4(ode_r4):
     ref = PHASE_BOUNDARIES[4]
-    end = ode_r4.phase1_end_state
+    end = ode_r4.phase1.end_state
     values = {
         "rho1": (ode_r4.rho1, ref["rho1"]),
         "rho2": (ode_r4.rho2, ref["rho2"]),

@@ -123,6 +123,26 @@ def test_deviations_shrink_with_n(sim_batch_r3, ode_r3):
         assert mean_small > mean_big, name
 
 
+@pytest.mark.parametrize("sim_rows, sol_rows", [(7, 40), (40, 7)])
+def test_sup_deviations_interpolate_the_solution_onto_the_simulated_grid(sim_rows, sol_rows):
+    # the simulated grid is the base whichever series has more rows
+    rng = np.random.default_rng(5)
+
+    def table(xs):
+        return np.column_stack([xs, rng.random((len(xs), 6)), np.ones(len(xs))])
+
+    sim = table(np.linspace(0.05, 0.9, sim_rows))
+    sol = table(np.linspace(0.0, 0.8, sol_rows))
+    devs = harness.sup_deviations(3, sim, sol)
+    overlap = sim[:, 0] <= 0.8
+    sim_x = sim[overlap, 0]
+    for k, name in enumerate(["z1", "z2", "z3", "zL", "zF", "zM_over_r"], start=1):
+        scale = 3.0 if name == "zM_over_r" else 1.0
+        sim_vals, sol_vals = sim[overlap, k] / scale, sol[:, k] / scale
+        expected = np.max(np.abs(sim_vals - np.interp(sim_x, sol[:, 0], sol_vals)))
+        assert devs[name] == expected, name
+
+
 def test_trajectory_csv_roundtrip(tmp_path):
     _, trajs = harness.simulate_trials(3, 400, 1, seed=1)
     path = tmp_path / "traj.csv"

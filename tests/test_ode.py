@@ -5,8 +5,8 @@ import pytest
 from fdst.constants import PHASE_BOUNDARIES
 from fdst.errors import (BlendDegenerateError, EventNotFoundError,
                          InvalidInputError, SingularityError)
-from fdst.ode import (analytic_phase1, blend_phase2, deriv_op1, deriv_op2,
-                      initial_state, integrate_two_phase)
+from fdst.ode import (DEFAULT_STEP, analytic_phase1, blend_phase2, deriv_op1,
+                      deriv_op2, initial_state, integrate_two_phase)
 
 
 def test_deriv_op1_at_initial_state_r3():
@@ -42,7 +42,7 @@ def test_deriv_op2_saturated_and_empty_states():
 
 
 def test_deriv_op2_at_phase1_end(ode_r3):
-    d = deriv_op2(3, ode_r3.phase1_end_state.tolist())
+    d = deriv_op2(3, ode_r3.phase1.end_state.tolist())
     assert all(np.isfinite(d))
     assert d[2] < 0.0  # the unseen class keeps shrinking
 
@@ -91,7 +91,7 @@ def test_blend_is_plain_average_when_rates_match():
 
 
 def test_blend_mixture_in_unit_interval_at_phase2_start(ode_r3):
-    z = ode_r3.phase1_end_state.tolist()
+    z = ode_r3.phase1.end_state.tolist()
     d1 = deriv_op1(3, z)
     d2 = deriv_op2(3, z)
     tau, alpha = -d1[3], d2[3]
@@ -139,7 +139,7 @@ def test_phase_boundaries_r4_coarse_step():
     ref = PHASE_BOUNDARIES[4]
     assert abs(res.rho1 - ref["rho1"]) < 5e-4
     assert abs(res.rho2 - ref["rho2"]) < 5e-4
-    end = res.phase1_end_state
+    end = res.phase1.end_state
     for idx, key in ((0, "z1"), (1, "z2"), (2, "z3"), (3, "z4"), (5, "zF"), (6, "zM")):
         assert abs(end[idx] - ref[key]) < 5e-4, key
 
@@ -201,6 +201,18 @@ def test_step_size_convergence_order():
     assert slope >= 3.5, f"observed order {slope}"
 
 
+def test_default_step_error_budget():
+    # the budget stated at DEFAULT_STEP, with at least 10x headroom over the
+    # measured errors, so a coarser default fails here first
+    for r in range(3, 11):
+        res = integrate_two_phase(r)
+        fine = integrate_two_phase(r, step_size=DEFAULT_STEP / 4, event_tol=1e-13)
+        assert abs(res.f_r - fine.f_r) <= 1e-9, r
+        assert abs(res.rho1 - fine.rho1) <= 1e-8, r
+        assert abs(res.rho2 - fine.rho2) <= 1e-8, r
+        assert np.max(np.abs(res.phase1.end_state - fine.phase1.end_state)) <= 1e-7, r
+
+
 def test_f_r_below_deterministic_bound(table1):
     report, solutions = table1
     for r, res in solutions.items():
@@ -217,10 +229,12 @@ def test_state_ranges_on_default_step_solutions(table1):
             assert np.all(unseen_points <= sol.states[:, r + 2] + 1e-9)
 
 
-def test_phase2_m_slope_tracks_the_blend(ode_r3):
+def test_phase2_m_slope_tracks_the_blend():
     # z_M falls at -2(r-1)p - 2r(1-p); per-step slopes must sit between the
-    # two pure rates and match the blended drift at the step endpoints
-    sol = ode_r3.phase2
+    # two pure rates and match the blended drift at the step endpoints. The
+    # endpoint average errs by O(h^2), so the step is pinned here rather than
+    # taken from the default
+    sol = integrate_two_phase(3, step_size=1e-5).phase2
     xs, states = sol.xs, sol.states
     slopes = np.diff(states[:-1, 5]) / np.diff(xs[:-1])
     assert np.all(slopes <= -4.0 + 1e-9)
