@@ -6,7 +6,9 @@ Library layout:
   rejection sampling of simple regular graphs, graph file io.
 * ``fdst.greedy`` — the greedy full-degree-tree algorithm: one loop over a
   pairing serves graph mode (the graph's own pairing) and lazy mode (a
-  uniform pairing revealed on demand), with per-step trajectories.
+  uniform pairing drawn before the run, by deferred decisions the lazily
+  revealed model of the drift system; Wormald 1999, section 2), with
+  per-step trajectories.
 * ``fdst.exact`` — exhaustive oracles for the full-degree number phi, the
   max-leaf number lambda, and the connected domination number gamma_C on
   small graphs, plus the extremal product constructions.

@@ -40,9 +40,13 @@ class Pairing:
 
     def pairs(self):
         """Matched pairs (p, q) with p < q, in increasing order of p."""
-        pts = np.arange(self.num_points())
-        sel = pts < self.matches
-        return list(zip(pts[sel].tolist(), self.matches[sel].tolist()))
+        p, q = self._pair_points()
+        return list(zip(p.tolist(), q.tolist()))
+
+    def _pair_points(self):
+        """Arrays p, q of the matched pairs (p, q), p < q, in increasing order of p."""
+        p = np.flatnonzero(np.arange(self.num_points()) < self.matches)
+        return p, self.matches[p]
 
 
 @dataclass
@@ -135,16 +139,6 @@ def graph_from_edges(n, edges, r=None):
     return g
 
 
-def _pair_uniformly(matches, points, rng):
-    """Pair up ``points`` uniformly at random, writing partners into ``matches``.
-
-    A uniform permutation read off in consecutive slots is a uniform matching.
-    """
-    perm = rng.permutation(points)
-    matches[perm[0::2]] = perm[1::2]
-    matches[perm[1::2]] = perm[0::2]
-
-
 def _simple_edges(n, u, v):
     """Distinct non-loop edges among the vertex pairs (u[i], v[i]).
 
@@ -167,21 +161,19 @@ def sample_pairing(n, r, rng):
     m = n * r
     if m % 2:
         raise InvalidInputError(f"r*n must be even, got n={n}, r={r}")
+    # a uniform permutation read off in consecutive slots is a uniform matching
+    perm = rng.permutation(m)
     matches = np.empty(m, dtype=np.int64)
-    _pair_uniformly(matches, m, rng)
+    matches[perm[0::2]] = perm[1::2]
+    matches[perm[1::2]] = perm[0::2]
     return Pairing(n=n, r=r, matches=matches)
 
 
 def project(pairing):
     """Contract each bucket of a pairing to a vertex, producing a multigraph."""
     r = pairing.r
-    pts = np.arange(pairing.num_points())
-    sel = pts < pairing.matches
-    u = pts[sel] // r
-    v = pairing.matches[sel] // r
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    return MultiGraph(n=pairing.n, edges=list(zip(lo.tolist(), hi.tolist())))
+    p, q = pairing._pair_points()  # p < q, so p // r <= q // r
+    return MultiGraph(n=pairing.n, edges=list(zip((p // r).tolist(), (q // r).tolist())))
 
 
 def _leaf_count(n, edges):
@@ -190,9 +182,9 @@ def _leaf_count(n, edges):
 
 
 def is_simple(mg):
-    """True iff the multigraph has no loops and no repeated edges."""
-    e = np.asarray(mg.edges, dtype=np.int64).reshape(-1, 2)
-    return len(_simple_edges(mg.n, e[:, 0], e[:, 1])[0]) == len(e)
+    """True iff the multigraph has no loops and no repeated edges (stored as u <= v)."""
+    edges = mg.edges
+    return len(set(edges)) == len(edges) and all(u != v for u, v in edges)
 
 
 def sample_simple_regular(n, r, rng, max_attempts=20_000):

@@ -1,20 +1,21 @@
 """Greedy construction of spanning trees with many full-degree vertices.
 
 One loop serves both modes. It runs against a pairing of the r*n
-configuration points (point p belongs to vertex p // r) and reveals the
-partners of a vertex's points only when it processes that vertex. It grows
-a forest from a random star, prefers processing current leaves (L) over
-unseen vertices (Z_r), and finally completes the forest to a spanning tree.
+configuration points (point p belongs to vertex p // r), fixed before the
+run, and reveals the partners of a vertex's points only when it processes
+that vertex. It grows a forest from a random star, prefers processing
+current leaves (L) over unseen vertices (Z_r), and finally completes the
+forest to a spanning tree.
 Class bookkeeping follows per-point semantics: a vertex not in the forest
 with i unrevealed points is in class Z_i, a forest leaf with r-1 unrevealed
 points is in L, and anything hit along the way drops down a class or goes
 dormant. A leaf step succeeds when none of its newly revealed partners lies
 in the forest, a fresh-vertex step when at most one does.
 
-* lazy mode (`run_lazy`) draws each revealed partner uniformly from the
-  unrevealed points, so the pairing stays undisclosed until it is used.
-  This is the mode whose scaled trajectories the drift system of
-  `fdst.ode` describes.
+* lazy mode (`run_lazy`) runs on a uniform pairing drawn before the run.
+  By deferred decisions that is the lazily revealed configuration model
+  (Wormald, "Models of random regular graphs", Surveys in Combinatorics
+  1999, section 2) whose scaled trajectories `fdst.ode` describes.
 
 * graph mode (`run_on_graph`) runs on a concrete connected simple r-regular
   graph with its pairing fixed in advance: point v*r+i is paired with v's
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .graphs import MultiGraph, Pairing, _pair_uniformly, _simple_edges, is_connected
+from .graphs import MultiGraph, _simple_edges, is_connected, sample_pairing
 from .ode import columns
 from .unionfind import UnionFind
 
@@ -136,7 +137,7 @@ class SpanningTreeResult:
     full_vertices: list
     connected: bool = True
     steps: list | None = None
-    pairing: object = None  # lazy mode: the fully revealed Pairing
+    pairing: object = None  # lazy mode: the uniform Pairing drawn before the run
 
 
 def _join_forest(n, forest, edges, saturated):
@@ -183,13 +184,13 @@ def complete_to_spanning_tree(forest, g):
 
 
 class _State:
-    """Bookkeeping of one run: revealed pairs, vertex classes, pools and forest."""
+    """Bookkeeping of one run: revealed points, vertex classes, pools and forest."""
 
-    def __init__(self, n, r, lazy):
+    def __init__(self, n, r):
         self.n = n
         self.r = r
-        self.partner = [-1] * (n * r)
-        self.point_pool = _DensePool(n * r) if lazy else None  # unrevealed points
+        self.revealed = bytearray(n * r)
+        self.unrevealed_points = n * r
         self.unrevealed = [r] * n
         self.in_forest = bytearray(n)
         self.full = bytearray(n)
@@ -200,15 +201,10 @@ class _State:
         self.leaf_pool = _DensePool(n, full=False)
         self.fresh_pool = _DensePool(n)
 
-    def unrevealed_total(self):
-        if self.point_pool is None:
-            return sum(self.unrevealed)
-        return len(self.point_pool)
-
     def sample(self, t, phase):
         n = self.n
         return (t / n, *(c / n for c in self.count_z[1:]), len(self.leaf_pool) / n,
-                self.full_count / n, self.unrevealed_total() / n, phase)
+                self.full_count / n, self.unrevealed_points / n, phase)
 
     def class_label(self, v):
         if self.full[v]:
@@ -238,7 +234,7 @@ class _State:
         ok = (count_z == self.count_z
               and leaves == set(self.leaf_pool.items)
               and fresh == set(self.fresh_pool.items)
-              and (self.point_pool is None or len(self.point_pool) == total)
+              and self.unrevealed_points == total == self.revealed.count(0)
               and self.full_count == sum(self.full))
         if not ok:
             raise InvariantViolationError("greedy bookkeeping out of sync")
@@ -255,15 +251,14 @@ class _State:
 def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
     """The greedy loop of both modes, run on the fresh state ``s``.
 
-    Point q's partner is fixed[q] when ``fixed`` is given, else a uniform
-    draw from the unrevealed points; every draw reads one `_uniforms` stream.
-    Returns (steps or None, trajectory samples, first fresh step or None,
-    full count at the end of phase 1).
+    Point q's partner is fixed[q]; the start vertex and every pool pop read
+    one `_uniforms` stream. Returns (steps or None, trajectory samples,
+    first fresh step or None, full count at the end of phase 1).
     """
     n, r = s.n, s.r
-    partner, unrevealed, in_forest = s.partner, s.unrevealed, s.in_forest
+    revealed, unrevealed, in_forest = s.revealed, s.unrevealed, s.in_forest
     full, forest, count_z = s.full, s.forest, s.count_z
-    point_pool, leaf_pool, fresh_pool = s.point_pool, s.leaf_pool, s.fresh_pool
+    leaf_pool, fresh_pool = s.leaf_pool, s.fresh_pool
     steps = [] if record_steps else None
     samples = [s.sample(0, 1)]
     phase = 1
@@ -279,15 +274,11 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
         labels = [] if record_steps else None
         self_pair = False
         for q in range(v * r, v * r + r):
-            if partner[q] != -1:
+            if revealed[q]:
                 continue
-            if fixed is None:
-                point_pool.discard(q)
-                p = point_pool.pop_random(draw())
-            else:
-                p = fixed[q]
-            partner[q] = p
-            partner[p] = q
+            p = fixed[q]
+            revealed[q] = revealed[p] = 1
+            s.unrevealed_points -= 2
             w = p // r
             if w == v:
                 self_pair = True
@@ -386,7 +377,7 @@ def run_on_graph(g, rng, record_steps=False):
         for w in nbrs:
             fixed.append(w * r + met[w])
             met[w] += 1
-    s = _State(n, r, lazy=False)
+    s = _State(n, r)
     # graph mode returns no trajectory; a stride of n keeps only the end samples
     steps, _, first_fresh_step, full_at_phase1_end = _greedy(
         s, rng, fixed, n, record_steps, invariant_checks=False)
@@ -400,6 +391,11 @@ def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
              invariant_checks=False):
     """Run the algorithm against a lazily revealed uniform pairing.
 
+    The pairing is drawn first, by ``sample_pairing(n, r, rng)``. A partner
+    fixed in advance and looked at only when revealed is uniform over the
+    unrevealed points (deferred decisions; Wormald 1999, section 2), so this
+    is the lazily revealed model whose drift system `fdst.ode` integrates.
+
     Returns (SpanningTreeResult, Trajectory). The result's tree is a
     spanning forest of the projected multigraph (a spanning tree when the
     multigraph is connected); the trajectory samples the scaled class sizes
@@ -407,18 +403,14 @@ def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
     """
     if r < 3:
         raise InvalidInputError(f"need r >= 3, got r={r}")
-    if (n * r) % 2:
-        raise InvalidInputError(f"r*n must be even, got n={n}, r={r}")
+    pairing = sample_pairing(n, r, rng)
     if sample_stride is None:
         sample_stride = max(1, -(-n // 1000))
-    s = _State(n, r, lazy=True)
+    s = _State(n, r)
     steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
-        s, rng, None, sample_stride, record_steps, invariant_checks)
-    matches = np.asarray(s.partner, dtype=np.int64)
-    _pair_uniformly(matches, np.flatnonzero(matches == -1), rng)
-    pairing = Pairing(n=n, r=r, matches=matches)
-    pts = np.flatnonzero(np.arange(n * r) < matches)  # the lower point of each pair
-    lo, hi = _simple_edges(n, pts // r, matches[pts] // r)
+        s, rng, pairing.matches.tolist(), sample_stride, record_steps, invariant_checks)
+    p, q = pairing._pair_points()
+    lo, hi = _simple_edges(n, p // r, q // r)
     tree, connected = _join_forest(n, s.forest, zip(lo, hi), s.full)
     result = _result(s, tree, connected, steps, first_fresh_step, full_at_phase1_end)
     result.pairing = pairing

@@ -1,11 +1,12 @@
 """Lazy-mode runs: per-point bookkeeping, reveal uniformity, trajectories."""
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from fdst.errors import InvalidInputError
-from fdst.graphs import project
+from fdst.graphs import project, sample_pairing
 from fdst.greedy import run_lazy, trajectory_stats
 from fdst.unionfind import UnionFind
 
@@ -32,10 +33,10 @@ def test_invariant_audits_small_runs():
 
 
 def test_guards():
-    with pytest.raises(InvalidInputError):
-        run_lazy(5, 3, np.random.default_rng(0))  # odd r*n
-    with pytest.raises(InvalidInputError):
-        run_lazy(10, 2, np.random.default_rng(0))
+    # odd r*n, r below 3, no vertices, negative n
+    for n, r in ((5, 3), (10, 2), (0, 3), (-2, 4)):
+        with pytest.raises(InvalidInputError):
+            run_lazy(n, r, np.random.default_rng(0))
 
 
 def test_full_fraction_monotone_and_m_linear_decrease():
@@ -99,6 +100,108 @@ def test_reveals_are_uniform_over_pairings():
     expected = runs / 15  # 300; five-sigma band ~ +-85
     for key, c in counts.items():
         assert abs(c - expected) < 90, f"pairing {key} appeared {c} times"
+
+
+def test_pairing_is_drawn_first_by_sample_pairing():
+    for n, r, seed in ((2, 3, 0), (10, 3, 1), (9, 4, 2), (40, 5, 3), (301, 6, 4)):
+        res, _ = run_lazy(n, r, np.random.default_rng(seed))
+        drawn = sample_pairing(n, r, np.random.default_rng(seed))
+        assert np.array_equal(res.pairing.matches, drawn.matches)
+
+
+def reference_run_lazy(n, r, rng):
+    """Lazy mode as an on-demand loop: (full count, phase-1 full count, first fresh step).
+
+    Each unrevealed point of the processed vertex takes its partner
+    uniformly from the other unrevealed points, so no pairing exists before
+    the run. The leaf and unseen candidates are recounted from the
+    unrevealed points at every step.
+    """
+    hidden = list(range(n * r))
+    in_tree = bytearray(n)
+    full = 0
+    first_fresh_step = phase1 = None
+    op, v = 2, int(rng.integers(n))
+    t = 0
+    while True:
+        nbrs = []
+        for q in range(v * r, v * r + r):
+            if q in hidden:
+                hidden.remove(q)
+                nbrs.append(hidden.pop(int(rng.integers(len(hidden)))) // r)
+        inside = sum(in_tree[w] for w in nbrs)
+        if v not in nbrs and len(set(nbrs)) == len(nbrs) and inside <= op - 1:
+            full += 1
+            in_tree[v] = 1
+            for w in nbrs:
+                in_tree[w] = 1
+        t += 1
+        left = Counter(p // r for p in hidden)
+        leaves = [w for w in range(n) if in_tree[w] and left[w] == r - 1]
+        fresh = [w for w in range(n) if not in_tree[w] and left[w] == r]
+        if leaves:
+            op, v = 1, leaves[int(rng.integers(len(leaves)))]
+        elif fresh:
+            if first_fresh_step is None:
+                first_fresh_step, phase1 = t, full
+            op, v = 2, fresh[int(rng.integers(len(fresh)))]
+        else:
+            return full, (full if phase1 is None else phase1), first_fresh_step
+
+
+def _chi2_quantile_999(dof):
+    """0.999 quantile of the chi-square law with ``dof`` degrees of freedom."""
+    s = dof / 2
+
+    def cdf(x):  # regularised lower incomplete gamma P(s, x/2), by its power series
+        h = x / 2
+        term = total = 1 / s
+        k = 0
+        while term > 1e-16 * total:
+            k += 1
+            term *= h / (s + k)
+            total += term
+        return total * math.exp(s * math.log(h) - h - math.lgamma(s))
+
+    lo, hi = 0.0, 20.0 * dof + 50
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if cdf(mid) < 0.999 else (lo, mid)
+    return hi
+
+
+def test_chi2_quantile_999_table():
+    for dof, q in ((1, 10.828), (2, 13.816), (5, 20.515), (14, 36.123), (69, 111.055)):
+        assert abs(_chi2_quantile_999(dof) - q) < 1e-3
+
+
+def test_law_matches_on_demand_reveals():
+    # deferred decisions: the greedy on a pairing drawn up front has the law of
+    # the greedy that draws each partner when it reveals it
+    runs = 3000
+    for n, r in ((6, 3), (8, 4)):
+        ours = Counter(
+            (res.full_degree_count, res.phase1_full_degree_count,
+             None if res.rho1_empirical is None else round(res.rho1_empirical * n))
+            for res, _ in (run_lazy(n, r, np.random.default_rng(seed))
+                           for seed in range(runs)))
+        rng = np.random.default_rng(n * 1000 + r)
+        ref = Counter(reference_run_lazy(n, r, rng) for _ in range(runs))
+        # equal sample sizes: a bin's expected count is half its pooled count;
+        # outcomes pooled below 10 share one bin, which joins the smallest
+        # other bin if it is still below 10
+        keys = sorted(ours.keys() | ref.keys(), key=lambda k: ours[k] + ref[k])
+        bins = [(ours[k], ref[k]) for k in keys if ours[k] + ref[k] >= 10]
+        rare = [(ours[k], ref[k]) for k in keys if ours[k] + ref[k] < 10]
+        a, b = sum(x for x, _ in rare), sum(y for _, y in rare)
+        if a + b >= 10:
+            bins.append((a, b))
+        elif rare:
+            bins[0] = (bins[0][0] + a, bins[0][1] + b)
+        stat = sum((x - y) ** 2 / (x + y) for x, y in bins)
+        dof = len(bins) - 1
+        assert dof >= 3, (n, r, bins)
+        assert stat < _chi2_quantile_999(dof), (n, r, stat, dof, bins)
 
 
 def test_result_tree_is_spanning_forest_of_multigraph():

@@ -204,6 +204,14 @@ def test_cli_simulate_zero_trials(tmp_path):
     assert read_json_without_timestamp(out / "aggregate.json") == {"trials": 0}
 
 
+def test_cli_simulate_rejects_empty_graph(tmp_path, capsys):
+    for mode in ("lazy", "graph"):
+        rc = main(["simulate", "--r", "3", "--n", "0", "--trials", "1", "--jobs", "1",
+                   "--mode", mode, "--out", str(tmp_path / mode)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_cli_integrate_writes_artifacts(tmp_path):
     rc = main(["integrate", "--r", "4", "--step", "1e-3", "--out", str(tmp_path)])
     assert rc == 0
