@@ -142,14 +142,14 @@ def graph_from_edges(n, edges, r=None):
 def _simple_edges(n, u, v):
     """Distinct non-loop edges among the vertex pairs (u[i], v[i]).
 
-    Returns lists lo, hi of the edges (lo[i], hi[i]), lo < hi, in
+    Returns arrays lo, hi of the edges (lo[i], hi[i]), lo < hi, in
     lexicographic order: the sorted distinct keys lo*n + hi, decoded.
     """
     keep = u != v
     u, v = u[keep], v[keep]
     keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
     keys = keys[np.diff(keys, prepend=-1) > 0]  # np.unique is 10-50x slower on numpy 2.4
-    return (keys // n).tolist(), (keys % n).tolist()
+    return keys // n, keys % n
 
 
 def sample_pairing(n, r, rng):
@@ -209,7 +209,7 @@ def sample_simple_regular(n, r, rng, max_attempts=20_000):
         lo, hi = _simple_edges(n, u, v)
         if len(lo) < len(u):
             continue  # a repeated edge
-        g = graph_from_edges(n, zip(lo, hi), r=r)
+        g = graph_from_edges(n, zip(lo.tolist(), hi.tolist()), r=r)
         g.rejections = attempt
         return g
     raise AttemptsExhaustedError(

@@ -5,7 +5,11 @@ configuration points (point p belongs to vertex p // r), fixed before the
 run, and reveals the partners of a vertex's points only when it processes
 that vertex. It grows a forest from a random star, prefers processing
 current leaves (L) over unseen vertices (Z_r), and finally completes the
-forest to a spanning tree.
+forest to a spanning tree. Completion joins the greedy's own components:
+each vertex that joins the forest records its parent and takes its
+parent's component label, a fresh vertex with no forest partner starts a
+component, and Kruskal's rule (Kruskal, Proc. AMS 7, 1956) then runs over
+the pairing's edges between components alone, smallest first.
 Class bookkeeping follows per-point semantics: a vertex not in the forest
 with i unrevealed points is in class Z_i, a forest leaf with r-1 unrevealed
 points is in L, and anything hit along the way drops down a class or goes
@@ -30,12 +34,13 @@ are declared failures.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .graphs import MultiGraph, _simple_edges, is_connected, sample_pairing
+from .graphs import Pairing, _simple_edges, is_connected, sample_pairing
 from .ode import columns
 from .unionfind import UnionFind
 
@@ -44,50 +49,6 @@ def _uniforms(rng):
     """Endless stream of uniform floats in [0, 1), drawn from ``rng`` 4096 at a time."""
     while True:
         yield from rng.random(4096).tolist()
-
-
-class _DensePool:
-    """Set over the integers 0..m-1 with O(1) add, discard and uniform random pop.
-
-    ``pos[x]`` is x's index in ``items``, or -1 when x is absent. Removal
-    moves the last item into the freed slot.
-    """
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self, m, full=True):
-        self.items = list(range(m)) if full else []
-        self.pos = list(range(m)) if full else [-1] * m
-
-    def __len__(self):
-        return len(self.items)
-
-    def add(self, x):
-        if self.pos[x] == -1:
-            self.pos[x] = len(self.items)
-            self.items.append(x)
-
-    def discard(self, x):
-        i = self.pos[x]
-        if i == -1:
-            return
-        self.pos[x] = -1
-        last = self.items.pop()
-        if i < len(self.items):
-            self.items[i] = last
-            self.pos[last] = i
-
-    def pop_random(self, u):
-        """Remove and return items[int(u * len)] for a uniform u in [0, 1)."""
-        items = self.items
-        i = int(u * len(items))
-        x = items[i]
-        last = items.pop()
-        if i < len(items):
-            items[i] = last
-            self.pos[last] = i
-        self.pos[x] = -1
-        return x
 
 
 @dataclass
@@ -140,26 +101,58 @@ class SpanningTreeResult:
     pairing: object = None  # lazy mode: the uniform Pairing drawn before the run
 
 
-def _join_forest(n, forest, edges, saturated):
-    """Join the components of an acyclic forest with ``edges``, in their order.
+def _int64s(values):
+    """The integers ``values`` as a typed array('q'), copied from their int64 buffer."""
+    out = array("q")
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B"))
+    return out
 
-    An edge is kept when it joins two components; it may not touch a
-    saturated vertex. Returns the sorted tree edges (u < v) and whether
-    they span all n vertices.
+
+def _complete(n, labels, forest_u, forest_v, lo, hi, saturated):
+    """Join the components of a forest with the edges (lo[i], hi[i]), in their order.
+
+    ``labels[v]`` in 0..n-1 names the forest component of v, and the forest's
+    edges are (forest_u[i], forest_v[i]). Every forest edge must lie within one
+    label, and there must be n - (forest edges) labels: when the labels are the
+    forest's components, that count holds exactly when the forest is acyclic.
+    Kruskal's rule keeps an edge when it joins two components, so only the
+    edges between labels are scanned, with a union-find over the labels; a
+    kept edge may not touch a saturated vertex. Returns the sorted keys
+    u*n + v (u < v) of the tree's edges and whether they span all n vertices.
     """
-    uf = UnionFind(n)
-    for u, v in forest:
-        if not uf.union(u, v):
-            raise InvariantViolationError(f"forest has a cycle at ({u}, {v})")
-    tree = sorted(forest)
-    for u, v in edges:
-        if uf.union(u, v):
-            if saturated[u] or saturated[v]:
-                raise InvariantViolationError(
-                    f"completion tried to add ({u}, {v}) at a full-degree vertex")
-            tree.append((u, v))
-    tree.sort()
-    return tree, uf.components == 1
+    labels = np.asarray(labels)
+    present = np.bincount(labels, minlength=n) > 0
+    components = int(np.count_nonzero(present))
+    if components != n - len(forest_u):
+        raise InvariantViolationError(
+            f"{components} forest components, but n - edges = {n - len(forest_u)}")
+    if np.any(labels[forest_u] != labels[forest_v]):
+        raise InvariantViolationError("a forest edge joins two components")
+    cross = np.flatnonzero(labels[lo] != labels[hi])
+    lo, hi = lo[cross], hi[cross]
+    dense = np.cumsum(present) - 1  # label -> component index 0..components-1
+    union = UnionFind(components).union
+    kept = [i for i, (a, b) in enumerate(zip(dense[labels[lo]].tolist(),
+                                             dense[labels[hi]].tolist()))
+            if union(a, b)]
+    lo, hi = lo[kept], hi[kept]
+    bad = np.flatnonzero(saturated[lo] | saturated[hi])
+    if len(bad):
+        raise InvariantViolationError(
+            f"completion tried to add ({lo[bad[0]]}, {hi[bad[0]]}) at a full-degree vertex")
+    keys = np.concatenate((np.minimum(forest_u, forest_v) * n + np.maximum(forest_u, forest_v),
+                           lo * n + hi))
+    keys.sort()
+    return keys, components - len(kept) == 1
+
+
+def _edge_list(keys, n):
+    """The edges (u, v) of the keys u*n + v, built in chunks to bound the temporaries."""
+    edges = []
+    for k in range(0, len(keys), 1 << 16):
+        part = keys[k:k + (1 << 16)]
+        edges += zip((part // n).tolist(), (part % n).tolist())
+    return edges
 
 
 def complete_to_spanning_tree(forest, g):
@@ -171,20 +164,35 @@ def complete_to_spanning_tree(forest, g):
     """
     if not is_connected(g):
         raise InvalidInputError("completion requires a connected graph")
-    forest_deg = [0] * g.n
-    edges = []
+    n = g.n
+    forest_deg = [0] * n
     for u, v in forest:
         if not g.has_edge(u, v):
             raise InvalidInputError(f"forest edge ({u}, {v}) is not a graph edge")
         forest_deg[u] += 1
         forest_deg[v] += 1
-        edges.append((u, v) if u < v else (v, u))
-    saturated = [forest_deg[v] == g.degree(v) for v in range(g.n)]
-    return _join_forest(g.n, edges, g.edges(), saturated)[0]
+    uf = UnionFind(n)
+    for u, v in forest:
+        if not uf.union(u, v):
+            raise InvariantViolationError(f"forest has a cycle at ({u}, {v})")
+    forest_u, forest_v = np.array(forest, dtype=np.int64).reshape(-1, 2).T
+    lo, hi = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+    saturated = np.array([forest_deg[v] == g.degree(v) for v in range(n)])
+    keys, _ = _complete(n, [uf.find(v) for v in range(n)], forest_u, forest_v,
+                        lo, hi, saturated)
+    return _edge_list(keys, n)
 
 
 class _State:
-    """Bookkeeping of one run: revealed points, vertex classes, pools and forest."""
+    """Bookkeeping of one run: revealed points, vertex classes, pools and forest.
+
+    The leaf pool ``leaves`` holds the forest leaves with r-1 unrevealed
+    points, the fresh pool ``fresh`` the unseen vertices (class Z_r) not yet
+    processed. No vertex is in both, so they share ``pos``: pos[x] is x's
+    index in its pool. The forest is ``parent``: a root is its own parent and
+    any other forest vertex has the vertex whose step joined it. ``labels[v]``
+    is the root of v's component; a vertex outside the forest is a root.
+    """
 
     def __init__(self, n, r):
         self.n = n
@@ -194,16 +202,18 @@ class _State:
         self.unrevealed = [r] * n
         self.in_forest = bytearray(n)
         self.full = bytearray(n)
-        self.forest = []
+        self.parent = _int64s(np.arange(n))
+        self.labels = _int64s(np.arange(n))
         self.count_z = [0] * (r + 1)
         self.count_z[r] = n
         self.full_count = 0
-        self.leaf_pool = _DensePool(n, full=False)
-        self.fresh_pool = _DensePool(n)
+        self.leaves = []
+        self.fresh = list(range(n))
+        self.pos = _int64s(np.arange(n))
 
     def sample(self, t, phase):
         n = self.n
-        return (t / n, *(c / n for c in self.count_z[1:]), len(self.leaf_pool) / n,
+        return (t / n, *(c / n for c in self.count_z[1:]), len(self.leaves) / n,
                 self.full_count / n, self.unrevealed_points / n, phase)
 
     def class_label(self, v):
@@ -213,8 +223,14 @@ class _State:
             return "L" if self.unrevealed[v] == self.r - 1 else "dead_leaf"
         return f"Z{self.unrevealed[v]}"
 
+    def forest_edges(self):
+        """Arrays u, v of the forest's edges (u[i], parent u[i])."""
+        parent = np.frombuffer(self.parent, dtype=np.int64)
+        u = np.flatnonzero(parent != np.arange(self.n))
+        return u, parent[u]
+
     def audit(self):
-        """O(n) recomputation of every incremental counter and pool."""
+        """O(n) recomputation of every incremental counter, pool and label."""
         n, r = self.n, self.r
         count_z = [0] * (r + 1)
         leaves, fresh = set(), set()
@@ -232,8 +248,10 @@ class _State:
                     held += u
         total = sum(self.unrevealed)
         ok = (count_z == self.count_z
-              and leaves == set(self.leaf_pool.items)
-              and fresh == set(self.fresh_pool.items)
+              and leaves == set(self.leaves)
+              and fresh == set(self.fresh)
+              and all(self.pos[x] == i for pool in (self.leaves, self.fresh)
+                      for i, x in enumerate(pool))
               and self.unrevealed_points == total == self.revealed.count(0)
               and self.full_count == sum(self.full))
         if not ok:
@@ -243,60 +261,95 @@ class _State:
         if decomposed != total:
             raise InvariantViolationError("unrevealed-point decomposition failed")
         uf = UnionFind(n)
-        for u, v in self.forest:
-            if not uf.union(u, v):
+        for v in range(n):
+            p = self.parent[v]
+            if p == v:
+                continue
+            if not (self.in_forest[v] and self.in_forest[p]):
+                raise InvariantViolationError(f"forest edge ({v}, {p}) leaves the forest")
+            if not uf.union(v, p):
                 raise InvariantViolationError("greedy forest has a cycle")
+        # the labels must name exactly the union-find's components
+        label_of = {}
+        for v in range(n):
+            if label_of.setdefault(uf.find(v), self.labels[v]) != self.labels[v]:
+                raise InvariantViolationError(f"vertex {v} has another label than its component")
+        if len(set(label_of.values())) != len(label_of):
+            raise InvariantViolationError("two forest components share a label")
 
 
 def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
     """The greedy loop of both modes, run on the fresh state ``s``.
 
-    Point q's partner is fixed[q]; the start vertex and every pool pop read
-    one `_uniforms` stream. Returns (steps or None, trajectory samples,
-    first fresh step or None, full count at the end of phase 1).
+    Point q's partner is fixed[q]; every pool pop, the start vertex's
+    included, reads one `_uniforms` stream. The state is sampled every
+    ``sample_stride`` steps, or never when it is None. Returns (steps or
+    None, trajectory samples or None, first fresh step or None, full count at
+    the end of phase 1).
     """
     n, r = s.n, s.r
-    revealed, unrevealed, in_forest = s.revealed, s.unrevealed, s.in_forest
-    full, forest, count_z = s.full, s.forest, s.count_z
-    leaf_pool, fresh_pool = s.leaf_pool, s.fresh_pool
+    revealed, unrevealed, in_forest, full = s.revealed, s.unrevealed, s.in_forest, s.full
+    parent, labels, count_z = s.parent, s.labels, s.count_z
+    leaves, fresh, pos = s.leaves, s.fresh, s.pos
+    # hot counters live in locals; s gets them back before sample() and audit()
+    unrevealed_points, full_count = s.unrevealed_points, s.full_count
     steps = [] if record_steps else None
-    samples = [s.sample(0, 1)]
+    samples = [s.sample(0, 1)] if sample_stride else None
+    next_sample = sample_stride or -1
     phase = 1
     first_fresh_step = full_at_phase1_end = None
-    t = 0
     draw = _uniforms(rng).__next__
-    op, v = 2, int(draw() * n)
-    fresh_pool.discard(v)
-    while True:
-        if op == 2:
+    t = -1
+    while leaves or fresh:
+        t += 1
+        if leaves:
+            op, pool = 1, leaves
+        else:
+            if t and first_fresh_step is None:
+                first_fresh_step, full_at_phase1_end, phase = t, full_count, 2
+            op, pool = 2, fresh
             count_z[r] -= 1
+        i = int(draw() * len(pool))
+        v = pool[i]
+        last = pool.pop()
+        if last != v:
+            pool[i] = last
+            pos[last] = i
         partners = []  # vertices of the partners revealed in this step
-        labels = [] if record_steps else None
+        notes = [] if record_steps else None
         self_pair = False
         for q in range(v * r, v * r + r):
             if revealed[q]:
                 continue
             p = fixed[q]
             revealed[q] = revealed[p] = 1
-            s.unrevealed_points -= 2
+            unrevealed_points -= 2
             w = p // r
             if w == v:
                 self_pair = True
                 if record_steps:
-                    labels.append((v, "self"))
+                    notes.append((v, "self"))
                 continue
             if record_steps:
-                labels.append((w, s.class_label(w)))
+                notes.append((w, s.class_label(w)))
             old = unrevealed[w]
             unrevealed[w] = old - 1
             if in_forest[w]:
-                if old == r - 1:
-                    leaf_pool.discard(w)
+                if old == r - 1:  # w leaves the leaf pool
+                    i = pos[w]
+                    last = leaves.pop()
+                    if last != w:
+                        leaves[i] = last
+                        pos[last] = i
             else:
                 count_z[old] -= 1
                 count_z[old - 1] += 1
-                if old == r:
-                    fresh_pool.discard(w)
+                if old == r:  # w leaves the fresh pool
+                    i = pos[w]
+                    last = fresh.pop()
+                    if last != w:
+                        fresh[i] = last
+                        pos[last] = i
             partners.append(w)
         unrevealed[v] = 0
         inside = 0
@@ -305,61 +358,79 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
         success = (not self_pair and inside <= op - 1
                    and len(set(partners)) == len(partners))
         if success:
+            if inside:  # a fresh vertex joins its one forest partner's component
+                for w in partners:
+                    if in_forest[w]:
+                        parent[v] = w
+                        labels[v] = labels[w]
+            label = labels[v]
             for w in partners:
-                forest.append((v, w) if v < w else (w, v))
                 if not in_forest[w]:
                     in_forest[w] = 1
+                    parent[w] = v
+                    labels[w] = label
                     count_z[unrevealed[w]] -= 1
                     if unrevealed[w] == r - 1:
-                        leaf_pool.add(w)
+                        pos[w] = len(leaves)
+                        leaves.append(w)
             in_forest[v] = 1
             full[v] = 1
-            s.full_count += 1
+            full_count += 1
         elif op == 2:
             count_z[0] += 1  # retired unseen: all points revealed, never joined
         if record_steps:
             steps.append(StepOutcome(op=op, processed=v, success=success,
-                                     partners=labels))
+                                     partners=notes))
         if invariant_checks:
+            s.unrevealed_points, s.full_count = unrevealed_points, full_count
             s.audit()
-        if t and t % sample_stride == 0:
+        if t == next_sample:
+            s.unrevealed_points, s.full_count = unrevealed_points, full_count
             samples.append(s.sample(t, phase))
-
-        if len(leaf_pool):
-            op, v = 1, leaf_pool.pop_random(draw())
-        elif len(fresh_pool):
-            if first_fresh_step is None:
-                first_fresh_step = t + 1
-                full_at_phase1_end = s.full_count
-                phase = 2
-            op, v = 2, fresh_pool.pop_random(draw())
-        else:
-            break
-        t += 1
-    if t % sample_stride:
+            next_sample += sample_stride
+    s.unrevealed_points, s.full_count = unrevealed_points, full_count
+    if samples is not None and t != next_sample - sample_stride:
         samples.append(s.sample(t, phase))
     return steps, samples, first_fresh_step, full_at_phase1_end
 
 
-def _result(s, tree, connected, steps, first_fresh_step, full_at_phase1_end):
-    n, r = s.n, s.r
-    deg = MultiGraph(n=n, edges=tree).degrees()
-    full_vertices = [v for v in range(n) if s.full[v]]
-    for v in full_vertices:
-        if deg[v] != r:
-            raise InvariantViolationError(
-                f"full-degree vertex {v} has tree degree {deg[v]}")
-    return SpanningTreeResult(
-        n=n, r=r, tree=tree,
+def _pairing_edges(pairing):
+    """Arrays lo, hi of the pairing's distinct non-loop edges, in lexicographic order.
+
+    A function of its own so that the point arrays are freed before the tree is built.
+    """
+    p, q = pairing._pair_points()
+    return _simple_edges(pairing.n, p // pairing.r, q // pairing.r)
+
+
+def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
+    """The greedy on ``pairing``, then completion with the pairing's edges.
+
+    Returns (SpanningTreeResult, trajectory samples or None).
+    """
+    n, r = pairing.n, pairing.r
+    s = _State(n, r)
+    steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
+        s, rng, _int64s(pairing.matches), sample_stride, record_steps, invariant_checks)
+    full = np.frombuffer(s.full, dtype=np.bool_)
+    keys, connected = _complete(n, s.labels, *s.forest_edges(), *_pairing_edges(pairing), full)
+    deg = np.bincount(keys // n, minlength=n) + np.bincount(keys % n, minlength=n)
+    bad = np.flatnonzero(full & (deg != r))
+    if len(bad):
+        raise InvariantViolationError(
+            f"full-degree vertex {bad[0]} has tree degree {deg[bad[0]]}")
+    result = SpanningTreeResult(
+        n=n, r=r, tree=_edge_list(keys, n),
         full_degree_count=s.full_count,
-        leaf_count=deg.count(1),
+        leaf_count=int(np.count_nonzero(deg == 1)),
         phase1_full_degree_count=(full_at_phase1_end
                                   if full_at_phase1_end is not None else s.full_count),
         rho1_empirical=(first_fresh_step / n if first_fresh_step is not None else None),
-        full_vertices=full_vertices,
+        full_vertices=np.flatnonzero(full).tolist(),
         connected=connected,
         steps=steps,
     )
+    return result, samples
 
 
 def run_on_graph(g, rng, record_steps=False):
@@ -367,24 +438,17 @@ def run_on_graph(g, rng, record_steps=False):
     r = g.r
     if r < 3:
         raise InvalidInputError(f"need r >= 3, got r={r}")
-    n = g.n
     # point v*r+i pairs with point w*r+j of w = adj[v][i], where j is v's
-    # index in w's sorted list; scanning v upwards meets w's neighbours in
-    # that same order, so j counts the earlier meetings of w
-    met = [0] * n
-    fixed = []
-    for nbrs in g.adjacency:
-        for w in nbrs:
-            fixed.append(w * r + met[w])
-            met[w] += 1
-    s = _State(n, r)
-    # graph mode returns no trajectory; a stride of n keeps only the end samples
-    steps, _, first_fresh_step, full_at_phase1_end = _greedy(
-        s, rng, fixed, n, record_steps, invariant_checks=False)
-    tree, spans = _join_forest(n, s.forest, g.edges(), s.full)
-    if not spans:
+    # index in w's sorted list: a stable sort by w puts the points of w's
+    # neighbours at w*r..w*r+r-1 in increasing order of the neighbour
+    nbrs = np.array(g.adjacency, dtype=np.int64).ravel()
+    matches = np.empty(len(nbrs), dtype=np.int64)
+    matches[np.argsort(nbrs, kind="stable")] = np.arange(len(nbrs))
+    result, _ = _run(Pairing(n=g.n, r=r, matches=matches), rng, None, record_steps,
+                     invariant_checks=False)
+    if not result.connected:
         raise InvalidInputError("graph mode requires a connected input graph")
-    return _result(s, tree, True, steps, first_fresh_step, full_at_phase1_end)
+    return result
 
 
 def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
@@ -399,20 +463,16 @@ def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
     Returns (SpanningTreeResult, Trajectory). The result's tree is a
     spanning forest of the projected multigraph (a spanning tree when the
     multigraph is connected); the trajectory samples the scaled class sizes
-    every ``sample_stride`` steps (default: ceil(n/1000)).
+    every ``sample_stride`` steps (default: ceil(n/1000); at least 1).
     """
     if r < 3:
         raise InvalidInputError(f"need r >= 3, got r={r}")
-    pairing = sample_pairing(n, r, rng)
     if sample_stride is None:
         sample_stride = max(1, -(-n // 1000))
-    s = _State(n, r)
-    steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
-        s, rng, pairing.matches.tolist(), sample_stride, record_steps, invariant_checks)
-    p, q = pairing._pair_points()
-    lo, hi = _simple_edges(n, p // r, q // r)
-    tree, connected = _join_forest(n, s.forest, zip(lo, hi), s.full)
-    result = _result(s, tree, connected, steps, first_fresh_step, full_at_phase1_end)
+    if sample_stride < 1:
+        raise InvalidInputError(f"need sample_stride >= 1, got {sample_stride}")
+    pairing = sample_pairing(n, r, rng)
+    result, samples = _run(pairing, rng, sample_stride, record_steps, invariant_checks)
     result.pairing = pairing
     trajectory = Trajectory(r=r, n=n, sample_stride=sample_stride,
                             samples=np.asarray(samples))

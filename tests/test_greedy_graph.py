@@ -6,7 +6,7 @@ from fdst.catalog import cycle_graph, named_graph
 from fdst.errors import InvalidInputError, InvariantViolationError
 from fdst.exact import construct_prism_torus, phi_exact_stars
 from fdst.graphs import graph_from_edges, sample_simple_regular, is_connected
-from fdst.greedy import complete_to_spanning_tree, run_on_graph
+from fdst.greedy import _complete, _State, complete_to_spanning_tree, run_on_graph
 from fdst.unionfind import UnionFind
 
 
@@ -153,6 +153,45 @@ def test_completion_rejects_foreign_edges():
     g = named_graph("k33")  # bipartite: (0,1) is not an edge
     with pytest.raises(InvalidInputError):
         complete_to_spanning_tree([(0, 1)], g)
+
+
+# completion of the forest 0-1 on the path 0-1-2-3; nothing saturated
+PATH_EDGES = np.array([0, 1, 2]), np.array([1, 2, 3])
+PATH_FOREST = np.array([0]), np.array([1])
+UNSATURATED = np.zeros(4, dtype=bool)
+
+
+def test_completion_joins_the_labelled_components():
+    keys, connected = _complete(4, [0, 0, 2, 3], *PATH_FOREST, *PATH_EDGES, UNSATURATED)
+    assert keys.tolist() == [0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 3]
+    assert connected
+
+
+def test_completion_rejects_a_label_count_other_than_n_minus_edges():
+    with pytest.raises(InvariantViolationError):
+        _complete(4, [0, 1, 2, 3], *PATH_FOREST, *PATH_EDGES, UNSATURATED)
+
+
+def test_completion_rejects_a_forest_edge_across_two_labels():
+    # three labels for one edge on four vertices, but the edge 0-1 crosses two
+    with pytest.raises(InvariantViolationError):
+        _complete(4, [0, 2, 2, 3], *PATH_FOREST, *PATH_EDGES, UNSATURATED)
+
+
+def test_completion_rejects_a_needed_edge_at_a_saturated_vertex():
+    saturated = UNSATURATED.copy()
+    saturated[1] = True  # the tree needs the edge 1-2
+    with pytest.raises(InvariantViolationError):
+        _complete(4, [0, 0, 2, 3], *PATH_FOREST, *PATH_EDGES, saturated)
+
+
+def test_graph_mode_takes_no_trajectory_samples(monkeypatch):
+    def boom(*args):
+        raise AssertionError("graph mode sampled the state")
+
+    monkeypatch.setattr(_State, "sample", boom)
+    res = run_on_graph(named_graph("petersen"), np.random.default_rng(2))
+    assert_spanning_tree(named_graph("petersen"), res.tree)
 
 
 def test_step_log_records_outcomes():

@@ -39,6 +39,12 @@ def test_guards():
             run_lazy(n, r, np.random.default_rng(0))
 
 
+def test_sample_stride_below_one_is_rejected():
+    for stride in (0, -3):
+        with pytest.raises(InvalidInputError):
+            run_lazy(10, 3, np.random.default_rng(0), sample_stride=stride)
+
+
 def test_full_fraction_monotone_and_m_linear_decrease():
     res, traj = run_lazy(40, 3, np.random.default_rng(3), sample_stride=1,
                          record_steps=True)

@@ -1,4 +1,4 @@
-"""Property tests of the greedy loop.
+"""Property tests of the greedy loop and its completion.
 
 Graph mode runs the lazy-mode loop with the graph's own pairing. The
 reference below is the earlier stand-alone graph-mode loop, whose success
@@ -6,13 +6,22 @@ rule is "at most one neighbour already in the tree"; on any connected
 simple regular graph both must make the same random draws and build the
 same tree. Both read their random choices from the same block-drawn
 stream of uniforms, and a pool pops index int(u * len) for the next u.
+
+Completion has its own reference, the earlier vertex-level one: a
+union-find over the forest's edges, then Kruskal over all candidate edges
+in lexicographic order. The program joins the components the greedy
+labelled while building the forest, scanning only the edges between them.
 """
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from fdst.graphs import is_connected, sample_simple_regular
-from fdst.greedy import _uniforms, complete_to_spanning_tree, run_lazy, run_on_graph
+from fdst.errors import InvariantViolationError
+from fdst.graphs import is_connected, project, sample_pairing, sample_simple_regular
+from fdst.greedy import (_greedy, _State, _uniforms, complete_to_spanning_tree, run_lazy,
+                         run_on_graph)
+from fdst.unionfind import UnionFind
 
 
 class IndexedSet:
@@ -49,8 +58,30 @@ class IndexedSet:
         return x
 
 
+def reference_join_forest(n, forest, edges, saturated):
+    """Join the components of an acyclic forest with ``edges``, in their order.
+
+    An edge is kept when it joins two components; it may not touch a
+    saturated vertex. Returns the sorted tree edges (u < v) and whether
+    they span all n vertices.
+    """
+    uf = UnionFind(n)
+    for u, v in forest:
+        if not uf.union(u, v):
+            raise InvariantViolationError(f"forest has a cycle at ({u}, {v})")
+    tree = sorted(forest)
+    for u, v in edges:
+        if uf.union(u, v):
+            if saturated[u] or saturated[v]:
+                raise InvariantViolationError(
+                    f"completion tried to add ({u}, {v}) at a full-degree vertex")
+            tree.append((u, v))
+    tree.sort()
+    return tree, uf.components == 1
+
+
 def reference_run_on_graph(g, rng):
-    """Graph mode as a loop of its own: (tree, full vertices, phase-1 count, rho1)."""
+    """Graph mode as a loop of its own: (forest, tree, full vertices, phase-1 count, rho1)."""
     n, adj = g.n, g.adjacency
     draw = _uniforms(rng).__next__
     in_tree = bytearray(n)
@@ -97,7 +128,9 @@ def reference_run_on_graph(g, rng):
     full_vertices = [v for v in range(n) if full[v]]
     phase1 = full_at_phase1_end if full_at_phase1_end is not None else len(full_vertices)
     rho1 = first_fresh_step / n if first_fresh_step is not None else None
-    return complete_to_spanning_tree(sorted(forest), g), full_vertices, phase1, rho1
+    forest = sorted(forest)
+    tree, _ = reference_join_forest(n, forest, g.edges(), full)
+    return forest, tree, full_vertices, phase1, rho1
 
 
 @st.composite
@@ -114,10 +147,11 @@ def connected_regular_graphs(draw):
 @given(g=connected_regular_graphs(), seed=st.integers(0, 2**32))
 def test_graph_mode_matches_reference_loop(g, seed):
     ref_rng = np.random.default_rng(seed)
-    tree, full_vertices, phase1, rho1 = reference_run_on_graph(g, ref_rng)
+    forest, tree, full_vertices, phase1, rho1 = reference_run_on_graph(g, ref_rng)
     rng = np.random.default_rng(seed)
     res = run_on_graph(g, rng)
     assert res.tree == tree
+    assert complete_to_spanning_tree(forest, g) == tree
     assert res.full_vertices == full_vertices
     assert res.full_degree_count == len(full_vertices)
     assert res.phase1_full_degree_count == phase1
@@ -139,3 +173,58 @@ def test_lazy_mode_invariants(r, n, seed):
     assert all(deg[v] == r for v in res.full_vertices)
     if res.connected:
         assert res.full_degree_count * (r - 1) <= n - 2
+
+
+def tree_leaf_count(n, tree):
+    deg = [0] * n
+    for u, v in tree:
+        deg[u] += 1
+        deg[v] += 1
+    return deg.count(1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.integers(3, 6), n=st.integers(1, 60), seed=st.integers(0, 2**32))
+def test_lazy_completion_matches_reference(r, n, seed):
+    n += (n * r) % 2
+    res, _ = run_lazy(n, r, np.random.default_rng(seed))
+    # the forest is the union of the full vertices' stars in the pairing
+    forest = set()
+    for v in res.full_vertices:
+        for p in range(v * r, v * r + r):
+            w = int(res.pairing.matches[p]) // r
+            forest.add((min(v, w), max(v, w)))
+    full = bytearray(n)
+    for v in res.full_vertices:
+        full[v] = 1
+    edges = sorted({(u, v) for u, v in project(res.pairing).edges if u != v})
+    tree, connected = reference_join_forest(n, sorted(forest), edges, full)
+    assert res.tree == tree
+    assert res.connected == connected
+    assert res.leaf_count == tree_leaf_count(n, tree)
+
+
+def test_audit_checks_the_labels_against_the_parents():
+    n, r = 40, 3
+    rng = np.random.default_rng(5)
+    fixed = sample_pairing(n, r, rng).matches.tolist()
+
+    def finished_state():
+        s = _State(n, r)
+        _greedy(s, np.random.default_rng(6), fixed, None, False, False)
+        s.audit()
+        return s
+
+    s = finished_state()
+    child = next(v for v in range(n) if s.parent[v] != v)
+    roots = [v for v in range(n) if s.parent[v] == v]
+    corruptions = [
+        ("labels", child, child),                          # a label off its component
+        ("labels", roots[1], s.labels[roots[0]]),          # two components, one label
+        ("parent", s.labels[child], child),                # a root joins its own subtree
+    ]
+    for field, v, value in corruptions:
+        s = finished_state()
+        getattr(s, field)[v] = value
+        with pytest.raises(InvariantViolationError):
+            s.audit()

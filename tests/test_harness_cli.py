@@ -212,6 +212,14 @@ def test_cli_simulate_rejects_empty_graph(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_cli_simulate_rejects_sample_stride_below_one(tmp_path, capsys):
+    for stride in ("0", "-3"):
+        rc = main(["simulate", "--r", "3", "--n", "10", "--trials", "1", "--jobs", "1",
+                   "--sample-stride", stride, "--out", str(tmp_path / stride)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_cli_integrate_writes_artifacts(tmp_path):
     rc = main(["integrate", "--r", "4", "--step", "1e-3", "--out", str(tmp_path)])
     assert rc == 0
