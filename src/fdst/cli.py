@@ -174,6 +174,7 @@ def cmd_exact(args):
         "phi": res.phi,
         "lambda": res.lam,
         "gamma_c": res.gamma_c,
+        "tree_count": res.tree_count,
         "witness_full_set": res.witness_full_set,
         "witness_tree": [list(e) for e in res.witness_tree],
         "witness_cds": res.witness_cds,

@@ -5,10 +5,14 @@ Two independent routes are kept for the full-degree number: exhaustive
 spanning-tree enumeration (deletion/contraction) and a branch-and-bound
 search over vertex sets whose star union is acyclic. They must agree
 wherever both run; that agreement is the primary anti-bug defense.
+
+The enumeration keeps its state in edge bitmasks (remaining edges, and per
+super-vertex the edges leaving it) and scores the last contraction level in
+a batch. The minimum connected dominating set search tries sizes upward
+from the tree bound ceil((n-2)/(D-1)), below which no CDS exists.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -32,12 +36,17 @@ class TreeExtrema:
 
 @dataclass
 class ExactResult:
+    """Exact phi, lambda and gamma_C with witnesses. ``tree_count`` is the
+    number of spanning trees the enumeration cross-check listed, or None
+    when that check did not run."""
+
     phi: int
     lam: int
     gamma_c: int
     witness_tree: list
     witness_cds: list
     witness_full_set: list
+    tree_count: int | None
 
 
 def _require_connected(g):
@@ -48,9 +57,25 @@ def _require_connected(g):
 def spanning_tree_extrema(g, max_vertices=16):
     """Enumerate every spanning tree once, tracking full-degree and leaf maxima.
 
-    Deletion/contraction on the running multigraph: the branch that keeps the
-    pivot edge contracts it, the branch that drops it recurses only when the
-    remainder is still connected, so each recursion leaf is a distinct tree.
+    Deletion/contraction over edge bitmasks, in the order of ``g.edges()``:
+    the lowest remaining edge is the pivot, and the branch that keeps it runs
+    before the branch that drops it, so each recursion leaf is a distinct tree.
+
+    - ``R`` is the mask of remaining edges. Each super-vertex keeps the mask of
+      edges with exactly one end in it, so contracting B into A is
+      ``cut[A] ^ cut[B]``: the edges the two share cancel, and the loops the
+      contraction makes leave ``R`` with them.
+    - When two super-vertices remain, each edge left in ``R`` joins them into
+      one tree. That level is counted and scored in a batch, from per-vertex
+      gains indexed by the tree degree, instead of recursing.
+    - The drop branch runs only if the rest stays connected: always when the
+      pivot has a parallel copy, never when one of its super-vertices has no
+      other remaining edge, and otherwise when a bitmask search over the
+      original vertices, along every edge not dropped, reaches one end of the
+      pivot from the other.
+
+    This is backtracking listing in the sense of Read & Tarjan (Networks 5,
+    1975), with O(n) word operations per search node.
     """
     _require_connected(g)
     n = g.n
@@ -58,88 +83,109 @@ def spanning_tree_extrema(g, max_vertices=16):
         raise SizeGuardError(f"tree enumeration guarded at n <= {max_vertices}, got {n}")
     if n == 1:
         return TreeExtrema(1, 1, [], 0, [])
-    deg = [g.degree(v) for v in range(n)]
+    ends = g.edges()
+    # gains of one more tree edge at v, indexed by v's tree degree before it
+    full_gain = [[int(k + 1 == g.degree(v)) for k in range(g.degree(v))]
+                 for v in range(n)]
+    leaf_gain = [1, -1] + [0] * g.max_degree()
     deg_t = [0] * n
+    cut = [0] * n       # per super-vertex: the edges with exactly one end in it
+    nbrs = [0] * n      # per vertex: its neighbours along edges not dropped
+    for i, (u, v) in enumerate(ends):
+        cut[u] |= 1 << i
+        cut[v] |= 1 << i
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    comp = list(range(n))               # the super-vertex holding each vertex
+    members = [[v] for v in range(n)]   # the vertices of each super-vertex
     chosen = []
-    state = {"full": 0, "leaves": 0, "count": 0,
-             "best_full": -1, "best_full_tree": None,
-             "best_leaves": -1, "best_leaves_tree": None}
-    edges0 = [(u, v, u, v) for u, v in g.edges()]
+    last = n - 2
+    count = 0
+    best_full = best_leaves = -1
+    best_full_tree = best_leaves_tree = None
 
-    def inc(v):
-        old = deg_t[v]
-        deg_t[v] = old + 1
-        if old == 0:
-            state["leaves"] += 1
-        elif old == 1:
-            state["leaves"] -= 1
-        if deg_t[v] == deg[v]:
-            state["full"] += 1
-
-    def dec(v):
-        if deg_t[v] == deg[v]:
-            state["full"] -= 1
-        deg_t[v] -= 1
-        if deg_t[v] == 0:
-            state["leaves"] -= 1
-        elif deg_t[v] == 1:
-            state["leaves"] += 1
-
-    def rec(edges, labels):
-        if len(labels) == 1:
-            state["count"] += 1
-            if state["full"] > state["best_full"]:
-                state["best_full"] = state["full"]
-                state["best_full_tree"] = list(chosen)
-            if state["leaves"] > state["best_leaves"]:
-                state["best_leaves"] = state["leaves"]
-                state["best_leaves_tree"] = list(chosen)
+    def rec(R, full, leaves):
+        nonlocal count, best_full, best_leaves, best_full_tree, best_leaves_tree
+        if len(chosen) == last:
+            count += R.bit_count()
+            if full + 2 <= best_full and leaves + 2 <= best_leaves:
+                return
+            while R:
+                low = R & -R
+                R ^= low
+                a, b = ends[low.bit_length() - 1]
+                da, db = deg_t[a], deg_t[b]
+                f = full + full_gain[a][da] + full_gain[b][db]
+                if f > best_full:
+                    best_full = f
+                    best_full_tree = chosen + [(a, b)]
+                f = leaves + leaf_gain[da] + leaf_gain[db]
+                if f > best_leaves:
+                    best_leaves = f
+                    best_leaves_tree = chosen + [(a, b)]
             return
-        u, v, ou, ov = edges[0]
-        # include the pivot: contract v into u
-        chosen.append((ou, ov) if ou < ov else (ov, ou))
-        inc(ou)
-        inc(ov)
-        contracted = []
-        for i in range(1, len(edges)):
-            a, b, oa, ob = edges[i]
-            if a == v:
-                a = u
-            if b == v:
-                b = u
-            if a != b:
-                contracted.append((a, b, oa, ob))
-        labels.discard(v)
-        rec(contracted, labels)
-        labels.add(v)
-        dec(ou)
-        dec(ov)
+        low = R & -R
+        a, b = ends[low.bit_length() - 1]
+        A, B = comp[a], comp[b]
+        cut_a, cut_b = cut[A], cut[B]
+        between = cut_a & cut_b
+        # include the pivot: contract the smaller super-vertex into the larger
+        if len(members[A]) < len(members[B]):
+            A, B = B, A
+        kept = cut[A]
+        moved = members[B]
+        for v in moved:
+            comp[v] = A
+        members[A] += moved
+        cut[A] = cut_a ^ cut_b
+        da, db = deg_t[a], deg_t[b]
+        deg_t[a] = da + 1
+        deg_t[b] = db + 1
+        chosen.append((a, b))
+        rec(R & ~between, full + full_gain[a][da] + full_gain[b][db],
+            leaves + leaf_gain[da] + leaf_gain[db])
         chosen.pop()
-        # exclude the pivot: allowed only if the rest stays connected
-        rest = edges[1:]
-        adj = {}
-        for a, b, _, _ in rest:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for w in adj.get(x, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) == len(labels):
-            rec(rest, labels)
+        deg_t[a] = da
+        deg_t[b] = db
+        cut[A] = kept
+        del members[A][-len(moved):]
+        for v in moved:
+            comp[v] = B
+        # exclude the pivot: only if the rest stays connected
+        R ^= low
+        parallel = between & R
+        if not parallel and not (cut_a & R and cut_b & R):
+            return
+        nbrs[a] ^= 1 << b
+        nbrs[b] ^= 1 << a
+        if parallel or _reaches(nbrs, a, b):
+            rec(R, full, leaves)
+        nbrs[a] ^= 1 << b
+        nbrs[b] ^= 1 << a
 
-    rec(edges0, set(range(n)))
+    rec((1 << len(ends)) - 1, 0, 0)
     return TreeExtrema(
-        tree_count=state["count"],
-        max_full=state["best_full"],
-        max_full_tree=sorted(state["best_full_tree"]),
-        max_leaves=state["best_leaves"],
-        max_leaves_tree=sorted(state["best_leaves_tree"]),
+        tree_count=count,
+        max_full=best_full,
+        max_full_tree=sorted(best_full_tree),
+        max_leaves=best_leaves,
+        max_leaves_tree=sorted(best_leaves_tree),
     )
+
+
+def _reaches(nbrs, a, b):
+    """Whether b is reachable from a, given each vertex's neighbour mask."""
+    reach = frontier = 1 << a
+    target = 1 << b
+    while frontier and not reach & target:
+        nxt = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            nxt |= nbrs[bit.bit_length() - 1]
+        frontier = nxt & ~reach
+        reach |= frontier
+    return bool(reach & target)
 
 
 def phi_exact_trees(g, max_vertices=12):
@@ -234,6 +280,13 @@ def lambda_gamma_exact(g, max_vertices=20):
     Returns (lambda, gamma_c, witness_tree, witness_cds) using the exchange
     between spanning-tree leaves and connected dominating sets: the
     non-leaves of a tree dominate, and a CDS pins everything else as leaves.
+
+    The size loop starts at ceil((n-2)/(D-1)) for maximum degree D, since no
+    smaller CDS exists: a CDS S carries a spanning tree whose i internal
+    vertices all lie in S, and the tree's degree sum gives
+    2(n-1) <= D*i + (n-i), so |S| >= i >= (n-2)/(D-1). This is the tree
+    bound behind ``check_propositions``' phi_upper. It is never below the
+    domination bound ceil(n/(D+1)), because D <= n-1.
     """
     _require_connected(g)
     n = g.n
@@ -243,9 +296,8 @@ def lambda_gamma_exact(g, max_vertices=20):
         raise InvalidInputError("leaf/domination exchange needs n >= 3")
     closed, open_ = _neighborhood_masks(g)
     full = (1 << n) - 1
-    delta_max = g.max_degree()
     cds = None
-    for k in range(max(1, math.ceil(n / (delta_max + 1))), n + 1):
+    for k in range(max(1, -(-(n - 2) // (g.max_degree() - 1))), n + 1):
         for subset in combinations(range(n), k):
             cover = 0
             for v in subset:
@@ -327,6 +379,7 @@ def exact_result(g, tree_guard=12, star_guard=24, cds_guard=20,
     """
     phi_s, full_set = phi_exact_stars(g, max_vertices=star_guard)
     lam, gamma, tree, cds = lambda_gamma_exact(g, max_vertices=cds_guard)
+    tree_count = None
     if g.n <= tree_guard and (count := kirchhoff_tree_count(g)) <= cross_check_tree_limit:
         ext = spanning_tree_extrema(g, max_vertices=tree_guard)
         if ext.max_full != phi_s:
@@ -339,9 +392,10 @@ def exact_result(g, tree_guard=12, star_guard=24, cds_guard=20,
         if ext.tree_count != count:
             raise InvariantViolationError(
                 f"enumerated {ext.tree_count} trees, determinant says {count}")
+        tree_count = ext.tree_count
     return ExactResult(phi=phi_s, lam=lam, gamma_c=gamma,
                        witness_tree=tree, witness_cds=cds,
-                       witness_full_set=full_set)
+                       witness_full_set=full_set, tree_count=tree_count)
 
 
 def _is_regular(g):

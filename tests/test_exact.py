@@ -1,11 +1,24 @@
 """Exact oracles: tree enumeration vs star search, leaf/domination identities,
-degree-bound propositions, and the product constructions."""
+degree-bound propositions, and the product constructions.
+
+Two references are kept here as earlier versions of the program's search
+code. ``reference_tree_extrema`` rebuilds the contracted edge list at every
+deletion/contraction node and runs a fresh depth-first search before each
+exclude branch; the program walks the same tree order on edge bitmasks.
+``reference_lambda_gamma`` starts its CDS size loop at the domination bound
+ceil(n/(D+1)); the program starts at the tree bound ceil((n-2)/(D-1)).
+"""
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdst.catalog import (are_isomorphic, cycle_graph, named_graph, prism_graph)
 from fdst.errors import InvalidInputError, InvariantViolationError, SizeGuardError
-from fdst.exact import (check_propositions, construct_grid_torus,
+from fdst.exact import (TreeExtrema, _neighborhood_masks, _tree_with_pendants,
+                        check_propositions, construct_grid_torus,
                         construct_prism_torus, exact_result,
                         lambda_exact_trees, lambda_gamma_exact,
                         phi_exact_stars, phi_exact_trees, prism_torus_witness,
@@ -24,6 +37,122 @@ def kirchhoff_count(g):
     return round(float(np.linalg.det(lap[1:, 1:])))
 
 
+def reference_tree_extrema(g):
+    """The earlier enumerator: deletion/contraction on a rebuilt edge list."""
+    n = g.n
+    if n == 1:
+        return TreeExtrema(1, 1, [], 0, [])
+    deg = [g.degree(v) for v in range(n)]
+    deg_t = [0] * n
+    chosen = []
+    state = {"full": 0, "leaves": 0, "count": 0,
+             "best_full": -1, "best_full_tree": None,
+             "best_leaves": -1, "best_leaves_tree": None}
+
+    def inc(v):
+        old = deg_t[v]
+        deg_t[v] = old + 1
+        if old == 0:
+            state["leaves"] += 1
+        elif old == 1:
+            state["leaves"] -= 1
+        if deg_t[v] == deg[v]:
+            state["full"] += 1
+
+    def dec(v):
+        if deg_t[v] == deg[v]:
+            state["full"] -= 1
+        deg_t[v] -= 1
+        if deg_t[v] == 0:
+            state["leaves"] -= 1
+        elif deg_t[v] == 1:
+            state["leaves"] += 1
+
+    def rec(edges, labels):
+        if len(labels) == 1:
+            state["count"] += 1
+            if state["full"] > state["best_full"]:
+                state["best_full"] = state["full"]
+                state["best_full_tree"] = list(chosen)
+            if state["leaves"] > state["best_leaves"]:
+                state["best_leaves"] = state["leaves"]
+                state["best_leaves_tree"] = list(chosen)
+            return
+        u, v, ou, ov = edges[0]
+        chosen.append((ou, ov) if ou < ov else (ov, ou))
+        inc(ou)
+        inc(ov)
+        contracted = []
+        for a, b, oa, ob in edges[1:]:
+            a = u if a == v else a
+            b = u if b == v else b
+            if a != b:
+                contracted.append((a, b, oa, ob))
+        labels.discard(v)
+        rec(contracted, labels)
+        labels.add(v)
+        dec(ou)
+        dec(ov)
+        chosen.pop()
+        rest = edges[1:]
+        adj = {}
+        for a, b, _, _ in rest:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        seen = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for w in adj.get(x, ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) == len(labels):
+            rec(rest, labels)
+
+    rec([(u, v, u, v) for u, v in g.edges()], set(range(n)))
+    return TreeExtrema(state["count"], state["best_full"],
+                       sorted(state["best_full_tree"]), state["best_leaves"],
+                       sorted(state["best_leaves_tree"]))
+
+
+def reference_lambda_gamma(g):
+    """The earlier CDS search, whose size loop starts at ceil(n/(D+1))."""
+    n = g.n
+    closed, open_ = _neighborhood_masks(g)
+    full = (1 << n) - 1
+    for k in range(max(1, -(-n // (g.max_degree() + 1))), n + 1):
+        for subset in combinations(range(n), k):
+            cover = 0
+            for v in subset:
+                cover |= closed[v]
+            if cover != full:
+                continue
+            smask = sum(1 << v for v in subset)
+            reach = frontier = 1 << subset[0]
+            while frontier:
+                nxt = 0
+                for v in range(n):
+                    if frontier >> v & 1:
+                        nxt |= open_[v]
+                frontier = nxt & smask & ~reach
+                reach |= frontier
+            if reach == smask:
+                cds = list(subset)
+                return n - k, k, _tree_with_pendants(g, cds), cds
+
+
+@st.composite
+def connected_graphs(draw, min_n, max_n, max_extra):
+    """A random recursive tree, which has pendant vertices, plus extra edges."""
+    n = draw(st.integers(min_n, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - edges)
+    if others:
+        edges |= set(draw(st.lists(st.sampled_from(others), max_size=max_extra)))
+    return graph_from_edges(n, sorted(edges))
+
+
 @pytest.mark.parametrize("name,count", [
     ("k4", 16), ("k33", 81), ("prism", 75), ("cube", 384), ("petersen", 2000),
 ])
@@ -32,6 +161,40 @@ def test_tree_enumeration_count_matches_kirchhoff(name, count):
     ext = spanning_tree_extrema(g)
     assert ext.tree_count == count
     assert ext.tree_count == kirchhoff_count(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(1, 8, max_extra=12))
+# found by a wider random search: on each, the batched last level must take
+# an edge that makes both of its ends full
+@example(graph_from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3),
+                              (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 6)]))
+@example(graph_from_edges(7, [(0, 1), (0, 3), (0, 6), (1, 2), (1, 3), (1, 6),
+                              (2, 3), (3, 4), (4, 5)]))
+def test_tree_enumeration_matches_reference(g):
+    ext = spanning_tree_extrema(g)
+    assert ext == reference_tree_extrema(g)
+    assert ext.tree_count == kirchhoff_count(g)
+
+
+def test_tree_enumeration_on_one_and_two_vertices():
+    assert spanning_tree_extrema(graph_from_edges(1, [])) == TreeExtrema(1, 1, [], 0, [])
+    # two vertices: the batched last level handles the first call
+    assert spanning_tree_extrema(graph_from_edges(2, [(0, 1)])) == TreeExtrema(
+        1, 2, [(0, 1)], 2, [(0, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(3, 12, max_extra=20))
+def test_cds_search_matches_reference(g):
+    assert lambda_gamma_exact(g) == reference_lambda_gamma(g)
+
+
+def test_cds_start_bound_is_tight_on_c6():
+    # gamma_C = n - 2 = ceil((n-2)/(D-1)) for D = 2: the first size tried
+    g = named_graph("c6")
+    assert lambda_gamma_exact(g) == reference_lambda_gamma(g)
+    assert lambda_gamma_exact(g)[1] == 4 == -(-(g.n - 2) // (g.max_degree() - 1))
 
 
 @pytest.mark.parametrize("name,phi", [
@@ -207,6 +370,14 @@ def test_exact_result_cross_checks(cubic_corpus):
     res = exact_result(named_graph("petersen"))
     assert (res.phi, res.lam, res.gamma_c) == (4, 6, 4)
     assert star_union_is_forest(named_graph("petersen"), res.witness_full_set)
+
+
+def test_exact_result_reports_the_enumerated_tree_count():
+    assert exact_result(named_graph("petersen")).tree_count == 2000
+    # above the Kirchhoff limit of the cross-check, so no trees are listed
+    g = sample_simple_regular(12, 5, np.random.default_rng(3))
+    assert kirchhoff_count(g) > 500_000
+    assert exact_result(g).tree_count is None
 
 
 def test_exact_result_rejects_lambda_disagreement(monkeypatch):

@@ -249,12 +249,14 @@ def test_cli_exact_named_and_file(tmp_path):
     assert rc == 0
     payload = read_json_without_timestamp(tmp_path / "exact_k4.json")
     assert (payload["phi"], payload["lambda"], payload["gamma_c"]) == (1, 3, 1)
+    assert payload["tree_count"] == 16
     gpath = tmp_path / "pet.txt"
     write_graph(named_graph("petersen"), gpath)
     rc = main(["exact", "--graph-file", str(gpath), "--out", str(tmp_path)])
     assert rc == 0
     payload = read_json_without_timestamp(tmp_path / "exact_pet_txt.json")
     assert (payload["phi"], payload["lambda"], payload["gamma_c"]) == (4, 6, 4)
+    assert payload["tree_count"] == 2000
 
 
 def test_cli_exact_on_16_vertex_graph(tmp_path):
@@ -263,6 +265,7 @@ def test_cli_exact_on_16_vertex_graph(tmp_path):
     assert rc == 0
     payload = read_json_without_timestamp(tmp_path / "exact_moebius_kantor.json")
     assert (payload["phi"], payload["lambda"], payload["gamma_c"]) == (6, 8, 8)
+    assert payload["tree_count"] is None
     assert payload["propositions"]["all_pass"]
 
 
