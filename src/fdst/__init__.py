@@ -24,9 +24,8 @@ from .graphs import (MultiGraph, Pairing, RegularGraph, SimpleGraph,
                      graph_from_edges, is_connected, is_simple, project,
                      read_graph, sample_pairing, sample_simple_regular,
                      write_graph, write_pairing)
-from .greedy import (SpanningTreeResult, StepOutcome, Trajectory,
-                     complete_to_spanning_tree, run_lazy, run_on_graph,
-                     trajectory_stats)
+from .greedy import (SpanningTreeResult, StepOutcome, Trajectory, run_lazy,
+                     run_on_graph)
 from .ode import (TrajectoryResult, analytic_phase1, blend_phase2, deriv_op1,
                   deriv_op2, initial_state, integrate_two_phase)
 

@@ -131,24 +131,36 @@ def cmd_reproduce_table1(args):
     return 0 if report["all_within_tolerance"] else 1
 
 
+_CONSTRUCTION_KEYS = {"prism": ("r", "m"), "grid": ("delta", "m")}
+
+
 def _parse_construction(text):
     parts = text.split()
     if not parts:
         raise InvalidInputError("empty construction string")
     kind, params = parts[0].lower(), {}
+    keys = _CONSTRUCTION_KEYS.get(kind)
+    if keys is None:
+        raise InvalidInputError(f"unknown construction {kind!r} (use prism or grid)")
     for tok in parts[1:]:
-        if "=" not in tok:
-            raise InvalidInputError(f"bad construction parameter {tok!r}")
-        key, val = tok.split("=", 1)
-        params[key.strip()] = int(val)
+        key, _, val = tok.partition("=")
+        if key not in keys:
+            raise InvalidInputError(
+                f"bad construction parameter {tok!r} ({kind} takes {', '.join(keys)})")
+        try:
+            params[key] = int(val)
+        except ValueError:
+            raise InvalidInputError(
+                f"construction parameter {key} must be an integer, got {val!r}") from None
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise InvalidInputError(f"construction {kind!r} needs {', '.join(missing)}")
     if kind == "prism":
         g = construct_prism_torus(params["r"], params["m"])
         witness = prism_torus_witness(params["r"], params["m"])
         return g, {"kind": "prism", **params, "witness": witness}
-    if kind == "grid":
-        g = construct_grid_torus(params["delta"], params["m"])
-        return g, {"kind": "grid", **params}
-    raise InvalidInputError(f"unknown construction {kind!r} (use prism or grid)")
+    g = construct_grid_torus(params["delta"], params["m"])
+    return g, {"kind": "grid", **params}
 
 
 def cmd_exact(args):

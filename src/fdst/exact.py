@@ -194,12 +194,6 @@ def phi_exact_trees(g, max_vertices=12):
     return ext.max_full, ext.max_full_tree
 
 
-def lambda_exact_trees(g, max_vertices=12):
-    """Maximum leaf count over all spanning trees, with a witness tree."""
-    ext = spanning_tree_extrema(g, max_vertices=max_vertices)
-    return ext.max_leaves, ext.max_leaves_tree
-
-
 def star_union_is_forest(g, vertices):
     """Whether the union of the closed stars of ``vertices`` is acyclic in g."""
     uf = UnionFind(g.n)
@@ -398,11 +392,6 @@ def exact_result(g, tree_guard=12, star_guard=24, cds_guard=20,
                        witness_full_set=full_set, tree_count=tree_count)
 
 
-def _is_regular(g):
-    degs = {g.degree(v) for v in range(g.n)}
-    return len(degs) == 1
-
-
 def check_propositions(g, exact):
     """Per-inequality report for the degree bounds and the leaf/domination identities."""
     n = g.n
@@ -431,7 +420,7 @@ def check_propositions(g, exact):
         "passed": exact.lam == n - exact.gamma_c,
         "slack": 0,
     }
-    if _is_regular(g):
+    if dmax == dmin:
         r = dmax
         if r == 3:
             checks["cubic_leaf_identity"] = {

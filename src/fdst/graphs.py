@@ -249,22 +249,32 @@ def write_graph(g, path):
             fh.write(f"{u} {v}\n")
 
 
+def _int_pair(path, line, form):
+    """The two integers of ``line``, a line of the file ``path`` in the form ``form``."""
+    parts = line.split()
+    try:
+        if len(parts) == 2:
+            return int(parts[0]), int(parts[1])
+    except ValueError:
+        pass
+    raise InvalidInputError(f"{path}: expected {form}, got {line!r}")
+
+
 def read_graph(path):
     """Read and validate the graph file format written by write_graph."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read graph file {path}: {exc}") from exc
     if not lines:
         raise InvalidInputError(f"{path}: empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InvalidInputError(f"{path}: header must be 'n r'")
-    n, r = int(head[0]), int(head[1])
+    n, r = _int_pair(path, lines[0], "the header 'n r'")
+    if n < 1:
+        raise InvalidInputError(f"{path}: need n >= 1, got n={n}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidInputError(f"{path}: bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _int_pair(path, ln, "an edge 'u v'")
         if not (0 <= u < v < n):
             raise InvalidInputError(f"{path}: edge ({u}, {v}) must satisfy 0 <= u < v < n")
         edges.append((u, v))

@@ -9,7 +9,9 @@ forest to a spanning tree. Completion joins the greedy's own components:
 each vertex that joins the forest records its parent and takes its
 parent's component label, a fresh vertex with no forest partner starts a
 component, and Kruskal's rule (Kruskal, Proc. AMS 7, 1956) then runs over
-the pairing's edges between components alone, smallest first.
+the pairing's edges between components alone, smallest first. A result's
+tree is the (m, 2) int64 array of its edge rows (u, v), u < v, in
+lexicographic order, decoded from completion's sorted keys u*n + v.
 Class bookkeeping follows per-point semantics: a vertex not in the forest
 with i unrevealed points is in class Z_i, a forest leaf with r-1 unrevealed
 points is in L, and anything hit along the way drops down a class or goes
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .graphs import Pairing, _simple_edges, is_connected, sample_pairing
+from .graphs import Pairing, _simple_edges, sample_pairing
 from .ode import columns
 from .unionfind import UnionFind
 
@@ -68,9 +70,6 @@ class Trajectory:
     sample_stride: int
     samples: np.ndarray
 
-    def header(self):
-        return ",".join(columns(self.r))
-
     def column(self, name):
         try:
             return self.samples[:, columns(self.r).index(name)]
@@ -79,23 +78,23 @@ class Trajectory:
 
 
 @dataclass
-class TrajectorySummary:
-    rho1_empirical: float | None
-    final_full_fraction: float
-    final_x: float
-    num_samples: int
-
-
-@dataclass
 class SpanningTreeResult:
+    """One greedy run.
+
+    ``tree`` is an (m, 2) int64 array of edge rows (u, v), u < v, strictly
+    increasing: m = n - 1 when ``connected``, else n minus the component
+    count. ``full_vertices`` is the sorted int64 array of the vertices whose
+    full star is in the tree.
+    """
+
     n: int
     r: int
-    tree: list
+    tree: np.ndarray
     full_degree_count: int
     leaf_count: int
     phase1_full_degree_count: int
     rho1_empirical: float | None
-    full_vertices: list
+    full_vertices: np.ndarray
     connected: bool = True
     steps: list | None = None
     pairing: object = None  # lazy mode: the uniform Pairing drawn before the run
@@ -144,43 +143,6 @@ def _complete(n, labels, forest_u, forest_v, lo, hi, saturated):
                            lo * n + hi))
     keys.sort()
     return keys, components - len(kept) == 1
-
-
-def _edge_list(keys, n):
-    """The edges (u, v) of the keys u*n + v, built in chunks to bound the temporaries."""
-    edges = []
-    for k in range(0, len(keys), 1 << 16):
-        part = keys[k:k + (1 << 16)]
-        edges += zip((part // n).tolist(), (part % n).tolist())
-    return edges
-
-
-def complete_to_spanning_tree(forest, g):
-    """Extend an acyclic forest inside g to a spanning tree of g.
-
-    Scans the graph's edges in lexicographic order and keeps any edge that
-    joins two components, so completion is deterministic. No added edge may
-    touch a vertex whose full star is already in the forest.
-    """
-    if not is_connected(g):
-        raise InvalidInputError("completion requires a connected graph")
-    n = g.n
-    forest_deg = [0] * n
-    for u, v in forest:
-        if not g.has_edge(u, v):
-            raise InvalidInputError(f"forest edge ({u}, {v}) is not a graph edge")
-        forest_deg[u] += 1
-        forest_deg[v] += 1
-    uf = UnionFind(n)
-    for u, v in forest:
-        if not uf.union(u, v):
-            raise InvariantViolationError(f"forest has a cycle at ({u}, {v})")
-    forest_u, forest_v = np.array(forest, dtype=np.int64).reshape(-1, 2).T
-    lo, hi = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
-    saturated = np.array([forest_deg[v] == g.degree(v) for v in range(n)])
-    keys, _ = _complete(n, [uf.find(v) for v in range(n)], forest_u, forest_v,
-                        lo, hi, saturated)
-    return _edge_list(keys, n)
 
 
 class _State:
@@ -414,19 +376,20 @@ def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
         s, rng, _int64s(pairing.matches), sample_stride, record_steps, invariant_checks)
     full = np.frombuffer(s.full, dtype=np.bool_)
     keys, connected = _complete(n, s.labels, *s.forest_edges(), *_pairing_edges(pairing), full)
-    deg = np.bincount(keys // n, minlength=n) + np.bincount(keys % n, minlength=n)
+    tree = np.column_stack(np.divmod(keys, n))
+    deg = np.bincount(tree.ravel(), minlength=n)
     bad = np.flatnonzero(full & (deg != r))
     if len(bad):
         raise InvariantViolationError(
             f"full-degree vertex {bad[0]} has tree degree {deg[bad[0]]}")
     result = SpanningTreeResult(
-        n=n, r=r, tree=_edge_list(keys, n),
+        n=n, r=r, tree=tree,
         full_degree_count=s.full_count,
         leaf_count=int(np.count_nonzero(deg == 1)),
         phase1_full_degree_count=(full_at_phase1_end
                                   if full_at_phase1_end is not None else s.full_count),
         rho1_empirical=(first_fresh_step / n if first_fresh_step is not None else None),
-        full_vertices=np.flatnonzero(full).tolist(),
+        full_vertices=np.flatnonzero(full),
         connected=connected,
         steps=steps,
     )
@@ -477,20 +440,3 @@ def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
     trajectory = Trajectory(r=r, n=n, sample_stride=sample_stride,
                             samples=np.asarray(samples))
     return result, trajectory
-
-
-def trajectory_stats(traj):
-    """Summary of one trajectory: phase-1 end, final full-degree fraction."""
-    if len(traj.samples) == 0:
-        raise InvalidInputError("empty trajectory")
-    xs = traj.column("x")
-    phases = traj.column("phase")
-    z_f = traj.column("zF")
-    phase2 = np.nonzero(phases == 2)[0]
-    rho1 = float(xs[phase2[0]]) if len(phase2) else None
-    return TrajectorySummary(
-        rho1_empirical=rho1,
-        final_full_fraction=float(z_f[-1]),
-        final_x=float(xs[-1]),
-        num_samples=len(xs),
-    )

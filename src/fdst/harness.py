@@ -55,12 +55,19 @@ def write_trajectory_csv(table, path):
 
 def read_trajectory_csv(path):
     """Read a trajectory/solution CSV; returns (r, samples array)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
     r = len(header) - len(columns(0))  # z1..zr are the only r-dependent columns
     if header != columns(r):
         raise InvalidInputError(f"{path}: unexpected header {header}")
+    if len(data) == 0 or data.shape[1] != len(header):
+        raise InvalidInputError(f"{path}: expected rows of {len(header)} numbers")
     return r, data
 
 

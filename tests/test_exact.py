@@ -19,8 +19,7 @@ from fdst.catalog import (are_isomorphic, cycle_graph, named_graph, prism_graph)
 from fdst.errors import InvalidInputError, InvariantViolationError, SizeGuardError
 from fdst.exact import (TreeExtrema, _neighborhood_masks, _tree_with_pendants,
                         check_propositions, construct_grid_torus,
-                        construct_prism_torus, exact_result,
-                        lambda_exact_trees, lambda_gamma_exact,
+                        construct_prism_torus, exact_result, lambda_gamma_exact,
                         phi_exact_stars, phi_exact_trees, prism_torus_witness,
                         spanning_tree_extrema, star_union_is_forest)
 from fdst.graphs import graph_from_edges, sample_simple_regular
@@ -258,7 +257,7 @@ def test_lambda_gamma_known_values(name, lam, gamma):
 def test_lambda_via_trees_agrees_with_domination_route(cubic_corpus):
     for graphs in cubic_corpus.values():
         for g in graphs:
-            lam_t, _ = lambda_exact_trees(g)
+            lam_t = spanning_tree_extrema(g).max_leaves
             lam_d, _, _, _ = lambda_gamma_exact(g)
             assert lam_t == lam_d
 

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from fdst.errors import InvariantViolationError
 from fdst.graphs import is_connected, project, sample_pairing, sample_simple_regular
-from fdst.greedy import (_greedy, _State, _uniforms, complete_to_spanning_tree, run_lazy,
-                         run_on_graph)
+from fdst.greedy import _greedy, _State, _uniforms, run_lazy, run_on_graph
 from fdst.unionfind import UnionFind
 
 
@@ -81,7 +80,7 @@ def reference_join_forest(n, forest, edges, saturated):
 
 
 def reference_run_on_graph(g, rng):
-    """Graph mode as a loop of its own: (forest, tree, full vertices, phase-1 count, rho1)."""
+    """Graph mode as a loop of its own: (tree, full vertices, phase-1 count, rho1)."""
     n, adj = g.n, g.adjacency
     draw = _uniforms(rng).__next__
     in_tree = bytearray(n)
@@ -128,9 +127,8 @@ def reference_run_on_graph(g, rng):
     full_vertices = [v for v in range(n) if full[v]]
     phase1 = full_at_phase1_end if full_at_phase1_end is not None else len(full_vertices)
     rho1 = first_fresh_step / n if first_fresh_step is not None else None
-    forest = sorted(forest)
-    tree, _ = reference_join_forest(n, forest, g.edges(), full)
-    return forest, tree, full_vertices, phase1, rho1
+    tree, _ = reference_join_forest(n, sorted(forest), g.edges(), full)
+    return tree, full_vertices, phase1, rho1
 
 
 @st.composite
@@ -147,12 +145,11 @@ def connected_regular_graphs(draw):
 @given(g=connected_regular_graphs(), seed=st.integers(0, 2**32))
 def test_graph_mode_matches_reference_loop(g, seed):
     ref_rng = np.random.default_rng(seed)
-    forest, tree, full_vertices, phase1, rho1 = reference_run_on_graph(g, ref_rng)
+    tree, full_vertices, phase1, rho1 = reference_run_on_graph(g, ref_rng)
     rng = np.random.default_rng(seed)
     res = run_on_graph(g, rng)
-    assert res.tree == tree
-    assert complete_to_spanning_tree(forest, g) == tree
-    assert res.full_vertices == full_vertices
+    assert res.tree.tolist() == [list(e) for e in tree]
+    assert res.full_vertices.tolist() == full_vertices
     assert res.full_degree_count == len(full_vertices)
     assert res.phase1_full_degree_count == phase1
     assert res.rho1_empirical == rho1
@@ -199,9 +196,33 @@ def test_lazy_completion_matches_reference(r, n, seed):
         full[v] = 1
     edges = sorted({(u, v) for u, v in project(res.pairing).edges if u != v})
     tree, connected = reference_join_forest(n, sorted(forest), edges, full)
-    assert res.tree == tree
+    assert res.tree.tolist() == [list(e) for e in tree]
     assert res.connected == connected
     assert res.leaf_count == tree_leaf_count(n, tree)
+
+
+def assert_tree_layout(res, rows):
+    tree = res.tree
+    assert tree.dtype == np.int64 and tree.shape == (rows, 2)
+    assert np.all(tree[:, 0] < tree[:, 1])
+    keys = tree[:, 0] * res.n + tree[:, 1]
+    assert np.all(np.diff(keys) > 0)  # rows strictly increasing
+    assert res.full_vertices.dtype == np.int64
+    assert np.all(np.diff(res.full_vertices) > 0)
+
+
+def test_tree_is_an_int64_array_of_sorted_rows():
+    g = sample_simple_regular(200, 3, np.random.default_rng(3))
+    assert is_connected(g)
+    assert_tree_layout(run_on_graph(g, np.random.default_rng(4)), 199)
+    res, _ = run_lazy(500, 4, np.random.default_rng(5))
+    assert res.connected
+    assert_tree_layout(res, 499)
+    res, _ = run_lazy(6, 3, np.random.default_rng(32))  # two components
+    assert not res.connected
+    assert_tree_layout(res, 4)
+    res, _ = run_lazy(1, 4, np.random.default_rng(0))  # all four points are self-pairs
+    assert_tree_layout(res, 0)
 
 
 def test_audit_checks_the_labels_against_the_parents():

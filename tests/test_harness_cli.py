@@ -289,6 +289,37 @@ def test_cli_exact_usage_errors():
     assert err.value.code == 2
 
 
+CSV_HEADER = "x,z1,z2,z3,zL,zF,zM,phase\n"
+SOLUTION = CSV_HEADER + "0,0,0,1,0,0,3,1\n0.5,0,0,0.5,0.5,0.2,1.5,1\n"
+
+
+@pytest.mark.parametrize("args, files", [
+    (["exact", "--graph-file", "g.txt"], {"g.txt": "4 3\n0 1\n0 x\n"}),
+    (["exact", "--graph-file", "g.txt"], {"g.txt": "four 3\n"}),
+    (["exact", "--graph-file", "g.txt"], {"g.txt": "0 3\n"}),
+    (["exact", "--graph-file", "missing.txt"], {}),
+    (["exact", "--construction", "prism r=3"], {}),
+    (["exact", "--construction", "prism r=x m=4"], {}),
+    (["exact", "--construction", "prism r=3 m=4 k=2"], {}),
+    (["compare", "--sim-dir", ".", "--ode-csv", "missing.csv"], {}),
+    (["compare", "--sim-dir", ".", "--ode-csv", "sol.csv"],
+     {"sol.csv": CSV_HEADER + "0,0,0,1,0,0,3,one\n"}),
+    (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
+     {"sol.csv": SOLUTION, "sim/trial_0000_trajectory.csv": CSV_HEADER}),
+    (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
+     {"sol.csv": SOLUTION, "sim/trial_0000_trajectory.csv": CSV_HEADER + "0,0,0,1,0\n"}),
+], ids=["edge-token", "header-token", "no-vertices", "missing-graph-file",
+        "missing-key", "non-integer-value", "unknown-key", "missing-csv", "non-numeric-cell",
+        "no-rows", "short-rows"])
+def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
