@@ -3,9 +3,9 @@
 Library layout:
 
 * ``fdst.graphs`` — configuration-model pairings, multigraph projection,
-  rejection sampling of simple regular graphs, graph file io.
+  rejection sampling of pairings with simple projections, graph file io.
 * ``fdst.greedy`` — the greedy full-degree-tree algorithm: one loop over a
-  pairing serves graph mode (the graph's own pairing) and lazy mode (a
+  pairing serves graph mode (a pairing with a simple projection) and lazy mode (a
   uniform pairing drawn before the run, by deferred decisions the lazily
   revealed model of the drift system; Wormald 1999, section 2), with
   per-step trajectories.
@@ -22,10 +22,10 @@ from .exact import (ExactResult, check_propositions, construct_grid_torus,
                     phi_exact_stars, phi_exact_trees, spanning_tree_extrema)
 from .graphs import (MultiGraph, Pairing, RegularGraph, SimpleGraph,
                      graph_from_edges, is_connected, is_simple, project,
-                     read_graph, sample_pairing, sample_simple_regular,
-                     write_graph, write_pairing)
+                     read_graph, sample_pairing, sample_simple_pairing,
+                     sample_simple_regular, write_graph, write_pairing)
 from .greedy import (SpanningTreeResult, StepOutcome, Trajectory, run_lazy,
-                     run_on_graph)
+                     run_on_graph, run_on_pairing)
 from .ode import (TrajectoryResult, analytic_phase1, blend_phase2, deriv_op1,
                   deriv_op2, initial_state, integrate_two_phase)
 

@@ -48,6 +48,11 @@ class Pairing:
         p = np.flatnonzero(np.arange(self.num_points()) < self.matches)
         return p, self.matches[p]
 
+    def simple_edges(self):
+        """Arrays lo, hi of the distinct non-loop edges of the projection, lexicographically."""
+        p, q = self._pair_points()
+        return _simple_edges(self.n, p // self.r, q // self.r)
+
 
 @dataclass
 class MultiGraph:
@@ -187,33 +192,51 @@ def is_simple(mg):
     return len(set(edges)) == len(edges) and all(u != v for u, v in edges)
 
 
-def sample_simple_regular(n, r, rng, max_attempts=20_000):
-    """Uniform simple r-regular graph via rejection of non-simple projections.
+def sample_simple_pairing(n, r, rng, max_attempts=20_000):
+    """Uniform pairing whose projection is a simple graph, by rejection.
 
-    Connectivity is *not* enforced here; callers that need a connected graph
-    must check (keeps the sampler exactly uniform over simple r-regular
-    graphs). Raises AttemptsExhaustedError after max_attempts rejections.
-    The acceptance rate decays like exp(-(r*r-1)/4) and is worse at small n,
-    so the default attempt budget is generous; r above ~6 is impractical.
+    Draws ``sample_pairing``'s pairings until one projects to a simple
+    graph and returns (that pairing, the number rejected before it). The
+    accepted pairing's projection is a uniform simple r-regular graph, and
+    given that graph its points are labelled uniformly at random (Bollobás,
+    Europ. J. Combin. 1, 1980). Connectivity is *not* enforced here; callers
+    that need a connected graph must check (keeps the sampler exactly
+    uniform over simple r-regular graphs). Raises AttemptsExhaustedError
+    after max_attempts rejections. The acceptance rate decays like
+    exp(-(r*r-1)/4) and is worse at small n, so the default attempt budget
+    is generous; r above ~6 is impractical.
     """
     if not 3 <= r <= n - 1:
         raise InvalidInputError(f"need 3 <= r <= n-1, got n={n}, r={r}")
     if (n * r) % 2:
         raise InvalidInputError(f"r*n must be even, got n={n}, r={r}")
     for attempt in range(max_attempts):
-        # the pairing of sample_pairing, kept as the buckets of its pairs
+        # the pairing of sample_pairing, checked on the buckets of its pairs
         perm = rng.permutation(n * r)
-        u, v = perm[0::2] // r, perm[1::2] // r
+        a, b = perm[0::2], perm[1::2]
+        u, v = a // r, b // r
         if np.any(u == v):
             continue  # a loop
-        lo, hi = _simple_edges(n, u, v)
-        if len(lo) < len(u):
+        if len(_simple_edges(n, u, v)[0]) < len(u):
             continue  # a repeated edge
-        g = graph_from_edges(n, zip(lo.tolist(), hi.tolist()), r=r)
-        g.rejections = attempt
-        return g
+        matches = np.empty(n * r, dtype=np.int64)
+        matches[a] = b
+        matches[b] = a
+        return Pairing(n=n, r=r, matches=matches), attempt
     raise AttemptsExhaustedError(
         f"no simple graph in {max_attempts} attempts (n={n}, r={r})")
+
+
+def sample_simple_regular(n, r, rng, max_attempts=20_000):
+    """Uniform simple r-regular graph: the projection of ``sample_simple_pairing``.
+
+    ``rejections`` on the result counts the pairings rejected before it.
+    """
+    pairing, rejections = sample_simple_pairing(n, r, rng, max_attempts)
+    lo, hi = pairing.simple_edges()
+    g = graph_from_edges(n, zip(lo.tolist(), hi.tolist()), r=r)
+    g.rejections = rejections
+    return g
 
 
 def is_connected(g):

@@ -23,11 +23,14 @@ in the forest, a fresh-vertex step when at most one does.
   (Wormald, "Models of random regular graphs", Surveys in Combinatorics
   1999, section 2) whose scaled trajectories `fdst.ode` describes.
 
-* graph mode (`run_on_graph`) runs on a concrete connected simple r-regular
-  graph with its pairing fixed in advance: point v*r+i is paired with v's
-  i-th neighbour in sorted order. There the success rule is the
-  pseudocode's "at most one neighbour of the processed vertex already lies
-  in the forest".
+* graph mode (`run_on_pairing`) runs on a pairing whose projection is a
+  simple r-regular graph, such as the one `fdst.graphs.sample_simple_pairing`
+  accepts. There the success rule is the pseudocode's "at most one
+  neighbour of the processed vertex already lies in the forest". The greedy
+  picks uniformly from its pools, so its output law does not depend on how
+  the points within a vertex are labelled. `run_on_graph` runs it on a
+  concrete connected simple r-regular graph, with point v*r+i paired with
+  v's i-th neighbour in sorted order.
 
 Failure steps are deliberately cautious: the processed vertex is retired
 even when a more careful case analysis could sometimes still make it full
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .graphs import Pairing, _simple_edges, sample_pairing
+from .graphs import Pairing, sample_pairing
 from .ode import columns
 from .unionfind import UnionFind
 
@@ -279,7 +282,8 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
             pos[last] = i
         partners = []  # vertices of the partners revealed in this step
         notes = [] if record_steps else None
-        self_pair = False
+        inside = 0  # partners already in the forest; the last is ``anchor``
+        clash = False  # a self-pair or a partner met twice
         for q in range(v * r, v * r + r):
             if revealed[q]:
                 continue
@@ -288,15 +292,19 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
             unrevealed_points -= 2
             w = p // r
             if w == v:
-                self_pair = True
+                clash = True
                 if record_steps:
                     notes.append((v, "self"))
                 continue
+            if w in partners:
+                clash = True
             if record_steps:
                 notes.append((w, s.class_label(w)))
             old = unrevealed[w]
             unrevealed[w] = old - 1
             if in_forest[w]:
+                inside += 1
+                anchor = w
                 if old == r - 1:  # w leaves the leaf pool
                     i = pos[w]
                     last = leaves.pop()
@@ -314,17 +322,11 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
                         pos[last] = i
             partners.append(w)
         unrevealed[v] = 0
-        inside = 0
-        for w in partners:
-            inside += in_forest[w]
-        success = (not self_pair and inside <= op - 1
-                   and len(set(partners)) == len(partners))
+        success = not clash and inside <= op - 1
         if success:
             if inside:  # a fresh vertex joins its one forest partner's component
-                for w in partners:
-                    if in_forest[w]:
-                        parent[v] = w
-                        labels[v] = labels[w]
+                parent[v] = anchor
+                labels[v] = labels[anchor]
             label = labels[v]
             for w in partners:
                 if not in_forest[w]:
@@ -356,15 +358,6 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
     return steps, samples, first_fresh_step, full_at_phase1_end
 
 
-def _pairing_edges(pairing):
-    """Arrays lo, hi of the pairing's distinct non-loop edges, in lexicographic order.
-
-    A function of its own so that the point arrays are freed before the tree is built.
-    """
-    p, q = pairing._pair_points()
-    return _simple_edges(pairing.n, p // pairing.r, q // pairing.r)
-
-
 def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
     """The greedy on ``pairing``, then completion with the pairing's edges.
 
@@ -375,7 +368,7 @@ def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
     steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
         s, rng, _int64s(pairing.matches), sample_stride, record_steps, invariant_checks)
     full = np.frombuffer(s.full, dtype=np.bool_)
-    keys, connected = _complete(n, s.labels, *s.forest_edges(), *_pairing_edges(pairing), full)
+    keys, connected = _complete(n, s.labels, *s.forest_edges(), *pairing.simple_edges(), full)
     tree = np.column_stack(np.divmod(keys, n))
     deg = np.bincount(tree.ravel(), minlength=n)
     bad = np.flatnonzero(full & (deg != r))
@@ -396,19 +389,27 @@ def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
     return result, samples
 
 
+def run_on_pairing(pairing, rng, record_steps=False):
+    """Run the algorithm on a pairing whose projection is a simple r-regular graph.
+
+    The result's ``connected`` tells whether that graph is connected: the
+    tree is then a spanning tree of it, else a spanning forest.
+    """
+    if pairing.r < 3:
+        raise InvalidInputError(f"need r >= 3, got r={pairing.r}")
+    result, _ = _run(pairing, rng, None, record_steps, invariant_checks=False)
+    return result
+
+
 def run_on_graph(g, rng, record_steps=False):
     """Run the algorithm on a concrete connected r-regular graph."""
-    r = g.r
-    if r < 3:
-        raise InvalidInputError(f"need r >= 3, got r={r}")
     # point v*r+i pairs with point w*r+j of w = adj[v][i], where j is v's
     # index in w's sorted list: a stable sort by w puts the points of w's
     # neighbours at w*r..w*r+r-1 in increasing order of the neighbour
     nbrs = np.array(g.adjacency, dtype=np.int64).ravel()
     matches = np.empty(len(nbrs), dtype=np.int64)
     matches[np.argsort(nbrs, kind="stable")] = np.arange(len(nbrs))
-    result, _ = _run(Pairing(n=g.n, r=r, matches=matches), rng, None, record_steps,
-                     invariant_checks=False)
+    result = run_on_pairing(Pairing(n=g.n, r=g.r, matches=matches), rng, record_steps)
     if not result.connected:
         raise InvalidInputError("graph mode requires a connected input graph")
     return result

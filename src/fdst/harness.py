@@ -5,6 +5,13 @@ All randomness is derived from one user seed; trial k runs on a 64-bit
 seed drawn from ``np.random.SeedSequence([seed, k])``, so distinct base
 seeds give unrelated trial seeds, and re-running a config reproduces every
 artifact byte for byte apart from the timestamp field.
+
+A lazy-mode trial is `fdst.greedy.run_lazy`. A graph-mode trial draws a
+pairing with a simple projection (`fdst.graphs.sample_simple_pairing`) and
+runs the greedy on it (`fdst.greedy.run_on_pairing`); completion finds out
+whether the graph is connected, and a disconnected one is drawn again.
+Trials are dispatched to the worker pool in chunks of about a quarter of
+each worker's share.
 """
 from __future__ import annotations
 
@@ -18,8 +25,8 @@ import numpy as np
 
 from . import constants
 from .errors import InvalidInputError
-from .graphs import is_connected, sample_simple_regular
-from .greedy import run_lazy, run_on_graph
+from .graphs import sample_simple_pairing
+from .greedy import run_lazy, run_on_pairing
 from .ode import DEFAULT_EVENT_TOL, DEFAULT_STEP, columns, integrate_two_phase
 
 
@@ -58,14 +65,18 @@ def read_trajectory_csv(path):
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            rows = [line for line in fh if line.strip()]
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
     r = len(header) - len(columns(0))  # z1..zr are the only r-dependent columns
     if header != columns(r):
         raise InvalidInputError(f"{path}: unexpected header {header}")
+    try:
+        # np.loadtxt warns on empty input, so it never sees one
+        data = (np.loadtxt(rows, delimiter=",", ndmin=2, comments=None) if rows
+                else np.empty((0, len(header))))
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
     if len(data) == 0 or data.shape[1] != len(header):
         raise InvalidInputError(f"{path}: expected rows of {len(header)} numbers")
     return r, data
@@ -80,16 +91,17 @@ def _run_trial(args):
     # derived in the trial, so a parent that only dispatches never loads np.random
     trial_seed = derive_trial_seed(seed, trial)
     rng = np.random.default_rng(trial_seed)
+    resamples = rejections = 0
     if mode == "lazy":
         result, traj = run_lazy(n, r, rng, sample_stride=sample_stride)
-        resamples = 0
     elif mode == "graph":
-        resamples = 0
-        g = sample_simple_regular(n, r, rng)
-        while not is_connected(g):
+        while True:
+            pairing, rejected = sample_simple_pairing(n, r, rng)
+            rejections += rejected
+            result = run_on_pairing(pairing, rng)
+            if result.connected:
+                break
             resamples += 1
-            g = sample_simple_regular(n, r, rng)
-        result = run_on_graph(g, rng)
         traj = None
     else:
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -105,6 +117,7 @@ def _run_trial(args):
         "rho1_empirical": result.rho1_empirical,
         "connected": result.connected,
         "connectivity_resamples": resamples,
+        "sampler_rejections": rejections,
     }
     return trial, record, traj
 
@@ -123,8 +136,10 @@ def simulate_trials(r, n, trials, seed, mode="lazy", sample_stride=None, jobs=No
             out[trial] = record
             trajs[trial] = traj
     else:
+        # a few chunks per worker: fewer round trips, still an even load
+        chunksize = -(-trials // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for trial, record, traj in pool.map(_run_trial, work):
+            for trial, record, traj in pool.map(_run_trial, work, chunksize=chunksize):
                 out[trial] = record
                 trajs[trial] = traj
     return out, trajs

@@ -6,7 +6,7 @@ import pytest
 
 from fdst.errors import AttemptsExhaustedError, InvalidInputError
 from fdst.graphs import (Pairing, graph_from_edges, is_connected, is_simple,
-                         project, read_graph, sample_pairing,
+                         project, read_graph, sample_pairing, sample_simple_pairing,
                          sample_simple_regular, write_graph, write_pairing)
 
 
@@ -68,6 +68,16 @@ def test_sample_simple_regular_is_rejection_over_sample_pairing():
             rejections += 1
         assert g.rejections == rejections
         assert g.adjacency == graph_from_edges(12, mg.edges, r=3).adjacency
+
+
+def test_sample_simple_regular_is_the_projection_of_sample_simple_pairing():
+    for seed in range(20):
+        g = sample_simple_regular(12, 3, np.random.default_rng(seed))
+        pairing, rejections = sample_simple_pairing(12, 3, np.random.default_rng(seed))
+        pairing.validate()
+        assert rejections == g.rejections
+        assert is_simple(mg := project(pairing))
+        assert graph_from_edges(12, mg.edges, r=3).adjacency == g.adjacency
 
 
 def test_project_single_loop():

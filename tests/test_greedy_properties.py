@@ -18,8 +18,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fdst.errors import InvariantViolationError
-from fdst.graphs import is_connected, project, sample_pairing, sample_simple_regular
-from fdst.greedy import _greedy, _State, _uniforms, run_lazy, run_on_graph
+from fdst.graphs import (graph_from_edges, is_connected, project, sample_pairing,
+                         sample_simple_pairing, sample_simple_regular)
+from fdst.greedy import _greedy, _State, _uniforms, run_lazy, run_on_graph, run_on_pairing
 from fdst.unionfind import UnionFind
 
 
@@ -154,6 +155,19 @@ def test_graph_mode_matches_reference_loop(g, seed):
     assert res.phase1_full_degree_count == phase1
     assert res.rho1_empirical == rho1
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.sampled_from([3, 4, 5]), n=st.integers(4, 16), seed=st.integers(0, 2**32))
+def test_run_on_pairing_spans_the_sampled_graph(r, n, seed):
+    assume(r < n and n * r % 2 == 0)
+    pairing, _ = sample_simple_pairing(n, r, np.random.default_rng(seed))
+    g = graph_from_edges(n, project(pairing).edges, r=r)
+    res = run_on_pairing(pairing, np.random.default_rng(seed + 1))
+    assert res.connected == is_connected(g)
+    assert {tuple(e) for e in res.tree.tolist()} <= set(g.edges())
+    deg = np.bincount(res.tree.ravel(), minlength=n)
+    assert np.all(deg[res.full_vertices] == r)
 
 
 @settings(max_examples=80, deadline=None)

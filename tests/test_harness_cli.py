@@ -7,7 +7,8 @@ import pytest
 
 from fdst import harness
 from fdst.cli import main
-from fdst.graphs import write_graph
+from fdst.graphs import is_connected, sample_simple_regular, write_graph
+from fdst.greedy import run_on_graph
 from fdst.catalog import named_graph
 
 
@@ -60,6 +61,12 @@ def test_simulate_trials_sequential_matches_parallel():
     par, _ = harness.simulate_trials(3, 1200, 4, seed=5, jobs=2)
     assert seq == par
     assert [rec["trial"] for rec in par] == [0, 1, 2, 3]
+    assert all(rec["sampler_rejections"] == 0 for rec in par)  # lazy mode samples no graph
+    # nine trials do not divide evenly into two workers' chunks
+    seq, _ = harness.simulate_trials(3, 200, 9, seed=5, mode="graph", jobs=1)
+    par, _ = harness.simulate_trials(3, 200, 9, seed=5, mode="graph", jobs=2)
+    assert seq == par
+    assert [rec["trial"] for rec in par] == list(range(9))
 
 
 def test_simulate_trials_caps_jobs(monkeypatch):
@@ -76,7 +83,8 @@ def test_simulate_trials_caps_jobs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, work):
+        def map(self, fn, work, chunksize=1):
+            assert chunksize >= 1
             return map(fn, work)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
@@ -95,6 +103,33 @@ def test_simulate_trials_graph_mode():
     for rec in records:
         assert rec["connected"]
         assert rec["leaf_count"] >= rec["full_degree_count"] + 2
+    assert sum(rec["sampler_rejections"] for rec in records) > 0
+
+
+def test_graph_trials_match_the_graph_route_in_law():
+    # the trial path runs the greedy on the sampler's accepted pairing; the
+    # reference builds the graph, checks connectivity and runs run_on_graph.
+    # At n=10 about one cubic graph in 800 is disconnected.
+    trials = 2000
+    records, _ = harness.simulate_trials(3, 10, trials, seed=7, mode="graph", jobs=1)
+    assert sum(rec["connectivity_resamples"] for rec in records) > 0
+    assert all(rec["connected"] for rec in records)
+    rng = np.random.default_rng(8)
+    reference = []
+    for _ in range(trials):
+        g = sample_simple_regular(10, 3, rng)
+        while not is_connected(g):
+            g = sample_simple_regular(10, 3, rng)
+        reference.append(run_on_graph(g, rng).full_degree_count)
+
+    def counts(fs):  # F <= (n-2)/(r-1) = 4; the rare F = 1 joins F = 2
+        return np.bincount(np.maximum(fs, 2) - 2, minlength=3)
+
+    ours = counts([rec["full_degree_count"] for rec in records])
+    theirs = counts(reference)
+    assert np.all(ours + theirs > 0)
+    # two-sample chi-square with equal sample sizes, 2 dof
+    assert np.sum((ours - theirs) ** 2 / (ours + theirs)) < 13.82  # 0.999 quantile
 
 
 def test_aggregate_empty():
@@ -317,7 +352,9 @@ def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files)
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     assert main(args) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "UserWarning" not in err
 
 
 def test_cli_unknown_command_exits_2():
@@ -350,16 +387,18 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 
 def test_end_to_end_determinism(tmp_path):
-    commands = [
-        ["simulate", "--r", "3", "--n", "3000", "--trials", "2",
-         "--seed", "77", "--jobs", "1"],
-        ["integrate", "--r", "3", "--step", "1e-3"],
-        ["reproduce-table1", "--step", "1e-3"],
-        ["exact", "--graph", "petersen"],
-    ]
+    commands = {
+        "simulate": ["simulate", "--r", "3", "--n", "3000", "--trials", "2",
+                     "--seed", "77", "--jobs", "1"],
+        "simulate-graph": ["simulate", "--mode", "graph", "--r", "3", "--n", "500",
+                           "--trials", "5", "--seed", "77", "--jobs", "2"],
+        "integrate": ["integrate", "--r", "3", "--step", "1e-3"],
+        "reproduce-table1": ["reproduce-table1", "--step", "1e-3"],
+        "exact": ["exact", "--graph", "petersen"],
+    }
     for run in ("x", "y"):
-        for args in commands:
-            assert main(args + ["--out", str(tmp_path / run / args[0])]) == 0
+        for out, args in commands.items():
+            assert main(args + ["--out", str(tmp_path / run / out)]) == 0
 
     def files(run):
         root = tmp_path / run
@@ -367,7 +406,7 @@ def test_end_to_end_determinism(tmp_path):
 
     names = files("x")
     assert files("y") == names
-    assert {name.parts[0] for name in names} == {args[0] for args in commands}
+    assert {name.parts[0] for name in names} == set(commands)
     for name in names:
         if name.suffix == ".json":
             a = read_json_without_timestamp(tmp_path / "x" / name)
