@@ -4,7 +4,7 @@ Run:  python demos/01_configuration_model.py
 """
 import numpy as np
 
-from fdst.graphs import (is_connected, is_simple, project, sample_pairing,
+from fdst.graphs import (is_connected, sample_pairing, sample_simple_pairing,
                          sample_simple_regular)
 
 rng = np.random.default_rng(7)
@@ -13,23 +13,23 @@ print("=" * 64)
 print("A pairing on r*n labeled points, n buckets of size r")
 print("=" * 64)
 pairing = sample_pairing(n=4, r=3, rng=rng)
-print(f"n=4, r=3: {pairing.num_points()} points, matched pairs:")
-print("  ", pairing.pairs())
-
-mg = project(pairing)
-print("projected multigraph edges (bucket = point // r):")
-print("  ", mg.edges)
-print("degrees:", mg.degrees(), "| simple:", is_simple(mg))
+r = pairing.r
+print(f"n=4, r=3: {pairing.num_points()} points, matches[p] is p's partner:")
+print("  ", pairing.matches.tolist())
+pairs = [(p // r, q // r) for p, q in enumerate(pairing.matches.tolist()) if p < q]
+print("projected pairs (bucket = point // r):")
+print("  ", pairs)
+loops = sum(u == v for u, v in pairs)
+print(f"loops: {loops} | repeated pairs: {len(pairs) - len(set(pairs))}")
 
 print()
 print("=" * 64)
 print("How often is the projection simple? (n=500, r=3)")
 print("=" * 64)
-hits = 0
-samples = 2000
-for _ in range(samples):
-    hits += is_simple(project(sample_pairing(500, 3, rng)))
-print(f"simple in {hits}/{samples} samples = {hits / samples:.3f} "
+draws = 300
+rejections = sum(sample_simple_pairing(500, 3, rng)[1] for _ in range(draws))
+print(f"{draws} simple pairings after {rejections} rejections: rate "
+      f"{draws / (draws + rejections):.3f} "
       "(the rate tends to exp(-2) ~ 0.135 and stays bounded away from 0)")
 
 print()

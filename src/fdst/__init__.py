@@ -2,8 +2,8 @@
 
 Library layout:
 
-* ``fdst.graphs`` — configuration-model pairings, multigraph projection,
-  rejection sampling of pairings with simple projections, graph file io.
+* ``fdst.graphs`` — configuration-model pairings, rejection sampling of
+  pairings with simple projections, graph file io.
 * ``fdst.greedy`` — the greedy full-degree-tree algorithm: one loop over a
   pairing serves graph mode (a pairing with a simple projection) and lazy mode (a
   uniform pairing drawn before the run, by deferred decisions the lazily
@@ -20,10 +20,9 @@ Library layout:
 from .exact import (ExactResult, check_propositions, construct_grid_torus,
                     construct_prism_torus, exact_result, lambda_gamma_exact,
                     phi_exact_stars, phi_exact_trees, spanning_tree_extrema)
-from .graphs import (MultiGraph, Pairing, RegularGraph, SimpleGraph,
-                     graph_from_edges, is_connected, is_simple, project,
-                     read_graph, sample_pairing, sample_simple_pairing,
-                     sample_simple_regular, write_graph, write_pairing)
+from .graphs import (Pairing, RegularGraph, SimpleGraph, graph_from_edges,
+                     is_connected, read_graph, sample_pairing,
+                     sample_simple_pairing, sample_simple_regular, write_graph)
 from .greedy import (SpanningTreeResult, StepOutcome, Trajectory, run_lazy,
                      run_on_graph, run_on_pairing)
 from .ode import (TrajectoryResult, analytic_phase1, blend_phase2, deriv_op1,

@@ -270,7 +270,7 @@ def _build_parser(config):
     sim.add_argument("--mode", choices=("lazy", "graph"), default="lazy")
     sim.add_argument("--sample-stride", type=int, default=None)
     sim.add_argument("--jobs", type=int, default=None,
-                     help="parallel trials (default and cap: min(trials, cores))")
+                     help="parallel trials, at least 1 (default and cap: min(trials, cores))")
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
 

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError, SizeGuardError
-from .graphs import _leaf_count, graph_from_edges, is_connected
+from .graphs import graph_from_edges, is_connected
 from .unionfind import UnionFind
 
 
@@ -322,7 +322,8 @@ def lambda_gamma_exact(g, max_vertices=20):
     gamma = len(cds)
     lam = n - gamma
     tree = _tree_with_pendants(g, cds)
-    leaves = _leaf_count(g.n, tree)
+    deg = np.bincount(np.asarray(tree, dtype=np.int64).ravel(), minlength=g.n)
+    leaves = int(np.count_nonzero(deg == 1))
     if leaves != lam:
         raise InvariantViolationError(
             f"CDS witness tree has {leaves} leaves, expected {lam}")

@@ -38,35 +38,10 @@ class Pairing:
         if not np.array_equal(self.matches[self.matches], pts):
             raise InvalidInputError("matches is not an involution")
 
-    def pairs(self):
-        """Matched pairs (p, q) with p < q, in increasing order of p."""
-        p, q = self._pair_points()
-        return list(zip(p.tolist(), q.tolist()))
-
     def _pair_points(self):
         """Arrays p, q of the matched pairs (p, q), p < q, in increasing order of p."""
         p = np.flatnonzero(np.arange(self.num_points()) < self.matches)
         return p, self.matches[p]
-
-    def simple_edges(self):
-        """Arrays lo, hi of the distinct non-loop edges of the projection, lexicographically."""
-        p, q = self._pair_points()
-        return _simple_edges(self.n, p // self.r, q // self.r)
-
-
-@dataclass
-class MultiGraph:
-    """Multigraph on n vertices; edges are (u, v) with u <= v, loops allowed."""
-
-    n: int
-    edges: list
-
-    def degrees(self):
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1  # a loop contributes 2 to its vertex
-        return deg
 
 
 @dataclass
@@ -144,19 +119,6 @@ def graph_from_edges(n, edges, r=None):
     return g
 
 
-def _simple_edges(n, u, v):
-    """Distinct non-loop edges among the vertex pairs (u[i], v[i]).
-
-    Returns arrays lo, hi of the edges (lo[i], hi[i]), lo < hi, in
-    lexicographic order: the sorted distinct keys lo*n + hi, decoded.
-    """
-    keep = u != v
-    u, v = u[keep], v[keep]
-    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    keys = keys[np.diff(keys, prepend=-1) > 0]  # np.unique is 10-50x slower on numpy 2.4
-    return keys // n, keys % n
-
-
 def sample_pairing(n, r, rng):
     """Uniform perfect matching on the r*n configuration points."""
     if r < 2:
@@ -172,24 +134,6 @@ def sample_pairing(n, r, rng):
     matches[perm[0::2]] = perm[1::2]
     matches[perm[1::2]] = perm[0::2]
     return Pairing(n=n, r=r, matches=matches)
-
-
-def project(pairing):
-    """Contract each bucket of a pairing to a vertex, producing a multigraph."""
-    r = pairing.r
-    p, q = pairing._pair_points()  # p < q, so p // r <= q // r
-    return MultiGraph(n=pairing.n, edges=list(zip((p // r).tolist(), (q // r).tolist())))
-
-
-def _leaf_count(n, edges):
-    """Number of degree-1 vertices in the graph on n vertices with these edges."""
-    return MultiGraph(n=n, edges=edges).degrees().count(1)
-
-
-def is_simple(mg):
-    """True iff the multigraph has no loops and no repeated edges (stored as u <= v)."""
-    edges = mg.edges
-    return len(set(edges)) == len(edges) and all(u != v for u, v in edges)
 
 
 def sample_simple_pairing(n, r, rng, max_attempts=20_000):
@@ -217,7 +161,8 @@ def sample_simple_pairing(n, r, rng, max_attempts=20_000):
         u, v = a // r, b // r
         if np.any(u == v):
             continue  # a loop
-        if len(_simple_edges(n, u, v)[0]) < len(u):
+        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        if np.any(keys[1:] == keys[:-1]):
             continue  # a repeated edge
         matches = np.empty(n * r, dtype=np.int64)
         matches[a] = b
@@ -233,8 +178,8 @@ def sample_simple_regular(n, r, rng, max_attempts=20_000):
     ``rejections`` on the result counts the pairings rejected before it.
     """
     pairing, rejections = sample_simple_pairing(n, r, rng, max_attempts)
-    lo, hi = pairing.simple_edges()
-    g = graph_from_edges(n, zip(lo.tolist(), hi.tolist()), r=r)
+    p, q = pairing._pair_points()
+    g = graph_from_edges(n, zip((p // r).tolist(), (q // r).tolist()), r=r)
     g.rejections = rejections
     return g
 
@@ -301,13 +246,11 @@ def read_graph(path):
         if not (0 <= u < v < n):
             raise InvalidInputError(f"{path}: edge ({u}, {v}) must satisfy 0 <= u < v < n")
         edges.append((u, v))
+    # checked before graph_from_edges, whose allocation grows with the header's n
+    if (n * r) % 2:
+        raise InvalidInputError(f"{path}: n*r must be even, got n={n}, r={r}")
+    if len(edges) != n * r // 2:
+        raise InvalidInputError(f"{path}: expected n*r/2 = {n * r // 2} edges, got {len(edges)}")
     if len(set(edges)) != len(edges):
         raise InvalidInputError(f"{path}: repeated edge")
     return graph_from_edges(n, edges, r=r)
-
-
-def write_pairing(pairing, path):
-    """Debug dump: one "p q" line per matched pair, p < q."""
-    with open(path, "w") as fh:
-        for p, q in pairing.pairs():
-            fh.write(f"{p} {q}\n")

@@ -9,7 +9,7 @@ forest to a spanning tree. Completion joins the greedy's own components:
 each vertex that joins the forest records its parent and takes its
 parent's component label, a fresh vertex with no forest partner starts a
 component, and Kruskal's rule (Kruskal, Proc. AMS 7, 1956) then runs over
-the pairing's edges between components alone, smallest first. A result's
+the pairing's pairs between components alone, smallest first. A result's
 tree is the (m, 2) int64 array of its edge rows (u, v), u < v, in
 lexicographic order, decoded from completion's sorted keys u*n + v.
 Class bookkeeping follows per-point semantics: a vertex not in the forest
@@ -110,17 +110,19 @@ def _int64s(values):
     return out
 
 
-def _complete(n, labels, forest_u, forest_v, lo, hi, saturated):
-    """Join the components of a forest with the edges (lo[i], hi[i]), in their order.
+def _complete(n, labels, forest_u, forest_v, u, v, saturated):
+    """Join the components of a forest with the vertex pairs (u[i], v[i]).
 
-    ``labels[v]`` in 0..n-1 names the forest component of v, and the forest's
+    ``labels[x]`` in 0..n-1 names the forest component of x, and the forest's
     edges are (forest_u[i], forest_v[i]). Every forest edge must lie within one
     label, and there must be n - (forest edges) labels: when the labels are the
     forest's components, that count holds exactly when the forest is acyclic.
-    Kruskal's rule keeps an edge when it joins two components, so only the
-    edges between labels are scanned, with a union-find over the labels; a
-    kept edge may not touch a saturated vertex. Returns the sorted keys
-    u*n + v (u < v) of the tree's edges and whether they span all n vertices.
+    A pair within one label (a loop, or an edge inside a component) is
+    dropped. Kruskal's rule scans the rest by their keys min*n + max, smallest
+    first, with a union-find over the labels, and keeps a pair when it joins
+    two components, so a repeated pair is kept at most once; a kept edge may
+    not touch a saturated vertex. Returns the sorted keys u*n + v
+    (u < v) of the tree's edges and whether they span all n vertices.
     """
     labels = np.asarray(labels)
     present = np.bincount(labels, minlength=n) > 0
@@ -130,8 +132,10 @@ def _complete(n, labels, forest_u, forest_v, lo, hi, saturated):
             f"{components} forest components, but n - edges = {n - len(forest_u)}")
     if np.any(labels[forest_u] != labels[forest_v]):
         raise InvariantViolationError("a forest edge joins two components")
-    cross = np.flatnonzero(labels[lo] != labels[hi])
-    lo, hi = lo[cross], hi[cross]
+    cross = labels[u] != labels[v]
+    u, v = u[cross], v[cross]
+    cross_keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    lo, hi = np.divmod(cross_keys, n)
     dense = np.cumsum(present) - 1  # label -> component index 0..components-1
     union = UnionFind(components).union
     kept = [i for i, (a, b) in enumerate(zip(dense[labels[lo]].tolist(),
@@ -143,7 +147,7 @@ def _complete(n, labels, forest_u, forest_v, lo, hi, saturated):
         raise InvariantViolationError(
             f"completion tried to add ({lo[bad[0]]}, {hi[bad[0]]}) at a full-degree vertex")
     keys = np.concatenate((np.minimum(forest_u, forest_v) * n + np.maximum(forest_u, forest_v),
-                           lo * n + hi))
+                           cross_keys[kept]))
     keys.sort()
     return keys, components - len(kept) == 1
 
@@ -359,7 +363,7 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
 
 
 def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
-    """The greedy on ``pairing``, then completion with the pairing's edges.
+    """The greedy on ``pairing``, then completion with the pairing's pairs.
 
     Returns (SpanningTreeResult, trajectory samples or None).
     """
@@ -368,7 +372,8 @@ def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
     steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
         s, rng, _int64s(pairing.matches), sample_stride, record_steps, invariant_checks)
     full = np.frombuffer(s.full, dtype=np.bool_)
-    keys, connected = _complete(n, s.labels, *s.forest_edges(), *pairing.simple_edges(), full)
+    p, q = pairing._pair_points()
+    keys, connected = _complete(n, s.labels, *s.forest_edges(), p // r, q // r, full)
     tree = np.column_stack(np.divmod(keys, n))
     deg = np.bincount(tree.ravel(), minlength=n)
     bad = np.flatnonzero(full & (deg != r))

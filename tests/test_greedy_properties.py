@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from pairing_reference import projected_pairs
 
 from fdst.errors import InvariantViolationError
-from fdst.graphs import (graph_from_edges, is_connected, project, sample_pairing,
+from fdst.graphs import (graph_from_edges, is_connected, sample_pairing,
                          sample_simple_pairing, sample_simple_regular)
 from fdst.greedy import _greedy, _State, _uniforms, run_lazy, run_on_graph, run_on_pairing
 from fdst.unionfind import UnionFind
@@ -162,7 +163,7 @@ def test_graph_mode_matches_reference_loop(g, seed):
 def test_run_on_pairing_spans_the_sampled_graph(r, n, seed):
     assume(r < n and n * r % 2 == 0)
     pairing, _ = sample_simple_pairing(n, r, np.random.default_rng(seed))
-    g = graph_from_edges(n, project(pairing).edges, r=r)
+    g = graph_from_edges(n, projected_pairs(pairing), r=r)
     res = run_on_pairing(pairing, np.random.default_rng(seed + 1))
     assert res.connected == is_connected(g)
     assert {tuple(e) for e in res.tree.tolist()} <= set(g.edges())
@@ -208,7 +209,7 @@ def test_lazy_completion_matches_reference(r, n, seed):
     full = bytearray(n)
     for v in res.full_vertices:
         full[v] = 1
-    edges = sorted({(u, v) for u, v in project(res.pairing).edges if u != v})
+    edges = sorted({(u, v) for u, v in projected_pairs(res.pairing) if u != v})
     tree, connected = reference_join_forest(n, sorted(forest), edges, full)
     assert res.tree.tolist() == [list(e) for e in tree]
     assert res.connected == connected

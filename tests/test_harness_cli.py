@@ -343,9 +343,11 @@ SOLUTION = CSV_HEADER + "0,0,0,1,0,0,3,1\n0.5,0,0,0.5,0.5,0.2,1.5,1\n"
      {"sol.csv": SOLUTION, "sim/trial_0000_trajectory.csv": CSV_HEADER}),
     (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
      {"sol.csv": SOLUTION, "sim/trial_0000_trajectory.csv": CSV_HEADER + "0,0,0,1,0\n"}),
+    (["simulate", "--r", "3", "--n", "10", "--trials", "2", "--jobs", "0"], {}),
+    (["simulate", "--r", "3", "--n", "10", "--trials", "2", "--jobs", "-3"], {}),
 ], ids=["edge-token", "header-token", "no-vertices", "missing-graph-file",
         "missing-key", "non-integer-value", "unknown-key", "missing-csv", "non-numeric-cell",
-        "no-rows", "short-rows"])
+        "no-rows", "short-rows", "jobs-zero", "jobs-negative"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
@@ -355,6 +357,20 @@ def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files)
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "UserWarning" not in err
+
+
+def test_cli_graph_file_edge_count_checked_before_building(tmp_path, monkeypatch, capsys):
+    # a header of 10**9 vertices is refused by its edge count, before any
+    # per-vertex allocation: building the graph would exhaust memory
+    import fdst.graphs as graphs
+
+    def build(*args, **kwargs):
+        raise AssertionError("graph_from_edges called")
+
+    monkeypatch.setattr(graphs, "graph_from_edges", build)
+    (tmp_path / "g.txt").write_text("1000000000 3\n0 1\n")
+    assert main(["exact", "--graph-file", str(tmp_path / "g.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_unknown_command_exits_2():
