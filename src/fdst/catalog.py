@@ -23,10 +23,7 @@ def cycle_graph(n):
 
 def complete_bipartite(a, b):
     edges = [(u, a + v) for u in range(a) for v in range(b)]
-    g = graph_from_edges(a + b, edges)
-    if a == b:
-        return graph_from_edges(a + b, edges, r=a)
-    return g
+    return graph_from_edges(a + b, edges, r=a if a == b else None)
 
 
 def generalized_petersen(n, k):

@@ -147,6 +147,8 @@ def _parse_construction(text):
         if key not in keys:
             raise InvalidInputError(
                 f"bad construction parameter {tok!r} ({kind} takes {', '.join(keys)})")
+        if key in params:
+            raise InvalidInputError(f"construction parameter {key} given twice")
         try:
             params[key] = int(val)
         except ValueError:

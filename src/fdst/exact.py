@@ -1,26 +1,34 @@
 """Exact brute-force oracles for full-degree, max-leaf, and connected-domination
 numbers on small graphs, plus the extremal product constructions.
 
-Two independent routes are kept for the full-degree number: exhaustive
-spanning-tree enumeration (deletion/contraction) and a branch-and-bound
-search over vertex sets whose star union is acyclic. They must agree
-wherever both run; that agreement is the primary anti-bug defense.
+Every search works on one view of the graph: per vertex, the bitmask of its
+neighbours. Two independent routes are kept for the full-degree number:
+exhaustive spanning-tree enumeration (deletion/contraction) and a
+branch-and-bound search over vertex sets whose star union is acyclic. They
+must agree wherever both run; that agreement is the primary anti-bug defense.
 
 The enumeration keeps its state in edge bitmasks (remaining edges, and per
 super-vertex the edges leaving it) and scores the last contraction level in
-a batch. The minimum connected dominating set search tries sizes upward
-from the tree bound ceil((n-2)/(D-1)), below which no CDS exists.
+a batch. The star search keeps its forest as a list of component masks. The
+minimum connected dominating set search lists connected vertex sets only,
+at sizes upward from the tree bound ceil((n-2)/(D-1)), below which no CDS
+exists.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError, SizeGuardError
-from .graphs import graph_from_edges, is_connected
-from .unionfind import UnionFind
+from .graphs import graph_from_edges
+
+# largest n each search accepts; the enumeration cross-check also stops above
+# TREE_COUNT_LIMIT spanning trees
+STAR_GUARD = 24
+CDS_GUARD = 20
+TREE_GUARD = 12
+TREE_COUNT_LIMIT = 500_000
 
 
 @dataclass
@@ -49,9 +57,26 @@ class ExactResult:
     tree_count: int | None
 
 
-def _require_connected(g):
-    if not is_connected(g):
+def _neighbour_masks(g):
+    """Per vertex, the bitmask of its neighbours; the graph must be connected."""
+    nbrs = [sum(1 << w for w in adj) for adj in g.adjacency]
+    if _reach(nbrs, 0) != (1 << g.n) - 1:
         raise InvalidInputError("oracle requires a connected graph")
+    return nbrs
+
+
+def _reach(nbrs, a, stop=0):
+    """The mask of vertices reachable from a; the search ends once it meets ``stop``."""
+    reach = frontier = 1 << a
+    while frontier and not reach & stop:
+        nxt = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            nxt |= nbrs[bit.bit_length() - 1]
+        frontier = nxt & ~reach
+        reach |= frontier
+    return reach
 
 
 def spanning_tree_extrema(g, max_vertices=16):
@@ -77,10 +102,10 @@ def spanning_tree_extrema(g, max_vertices=16):
     This is backtracking listing in the sense of Read & Tarjan (Networks 5,
     1975), with O(n) word operations per search node.
     """
-    _require_connected(g)
     n = g.n
     if n > max_vertices:
         raise SizeGuardError(f"tree enumeration guarded at n <= {max_vertices}, got {n}")
+    nbrs = _neighbour_masks(g)  # per vertex: its neighbours along edges not dropped
     if n == 1:
         return TreeExtrema(1, 1, [], 0, [])
     ends = g.edges()
@@ -90,12 +115,9 @@ def spanning_tree_extrema(g, max_vertices=16):
     leaf_gain = [1, -1] + [0] * g.max_degree()
     deg_t = [0] * n
     cut = [0] * n       # per super-vertex: the edges with exactly one end in it
-    nbrs = [0] * n      # per vertex: its neighbours along edges not dropped
     for i, (u, v) in enumerate(ends):
         cut[u] |= 1 << i
         cut[v] |= 1 << i
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
     comp = list(range(n))               # the super-vertex holding each vertex
     members = [[v] for v in range(n)]   # the vertices of each super-vertex
     chosen = []
@@ -158,7 +180,7 @@ def spanning_tree_extrema(g, max_vertices=16):
             return
         nbrs[a] ^= 1 << b
         nbrs[b] ^= 1 << a
-        if parallel or _reaches(nbrs, a, b):
+        if parallel or _reach(nbrs, a, 1 << b) >> b & 1:
             rec(R, full, leaves)
         nbrs[a] ^= 1 << b
         nbrs[b] ^= 1 << a
@@ -173,43 +195,43 @@ def spanning_tree_extrema(g, max_vertices=16):
     )
 
 
-def _reaches(nbrs, a, b):
-    """Whether b is reachable from a, given each vertex's neighbour mask."""
-    reach = frontier = 1 << a
-    target = 1 << b
-    while frontier and not reach & target:
-        nxt = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            nxt |= nbrs[bit.bit_length() - 1]
-        frontier = nxt & ~reach
-        reach |= frontier
-    return bool(reach & target)
-
-
-def phi_exact_trees(g, max_vertices=12):
+def phi_exact_trees(g):
     """Maximum full-degree count over all spanning trees, with a witness tree."""
-    ext = spanning_tree_extrema(g, max_vertices=max_vertices)
+    ext = spanning_tree_extrema(g, max_vertices=TREE_GUARD)
     return ext.max_full, ext.max_full_tree
+
+
+def _add_star(comps, star):
+    """The component masks after joining ``star``, a centre and the ends of its
+    new edges, to the forest ``comps``; None if some component meets it twice,
+    which is exactly when the new edges close a cycle."""
+    joined = star
+    rest = []
+    for comp in comps:
+        hit = comp & star
+        if not hit:
+            rest.append(comp)
+        elif hit & (hit - 1):
+            return None
+        else:
+            joined |= comp
+    rest.append(joined)
+    return rest
 
 
 def star_union_is_forest(g, vertices):
     """Whether the union of the closed stars of ``vertices`` is acyclic in g."""
-    uf = UnionFind(g.n)
-    seen = set()
+    comps, chosen = [], 0
     for v in vertices:
-        for w in g.adjacency[v]:
-            e = (v, w) if v < w else (w, v)
-            if e in seen:
-                continue
-            seen.add(e)
-            if not uf.union(*e):
+        if not chosen >> v & 1:
+            comps = _add_star(comps, sum(1 << w for w in g.adjacency[v]) & ~chosen | 1 << v)
+            if comps is None:
                 return False
+            chosen |= 1 << v
     return True
 
 
-def phi_exact_stars(g, max_vertices=24):
+def phi_exact_stars(g):
     """Full-degree number via branch-and-bound over acyclic star unions.
 
     A vertex set is simultaneously realizable as full-degree vertices of one
@@ -217,59 +239,34 @@ def phi_exact_stars(g, max_vertices=24):
     extends to a spanning tree that adds no edge at a saturated vertex, and
     conversely the stars of full-degree vertices all lie inside the tree.
     """
-    _require_connected(g)
     n = g.n
-    if n > max_vertices:
-        raise SizeGuardError(f"star search guarded at n <= {max_vertices}, got {n}")
+    if n > STAR_GUARD:
+        raise SizeGuardError(f"star search guarded at n <= {STAR_GUARD}, got {n}")
+    nbrs = _neighbour_masks(g)
     delta = g.min_degree()
     hard_ub = (n - 2) // (delta - 1) if delta >= 2 else n
-    best = [0, []]
-    chosen = []
-    edge_set = set()
+    best = [0, 0]
 
-    def rec(idx, uf, count):
+    def rec(v, comps, chosen, count):
         if count > best[0]:
             best[0] = count
-            best[1] = list(chosen)
+            best[1] = chosen
         if best[0] >= hard_ub:
             return True  # provably optimal, cut everything
-        if idx == n or count + (n - idx) <= best[0]:
+        if v == n or count + (n - v) <= best[0]:
             return False
-        new_edges = []
-        for w in g.adjacency[idx]:
-            e = (idx, w) if idx < w else (w, idx)
-            if e not in edge_set:
-                new_edges.append(e)
-        uf2 = uf.copy()
-        feasible = all(uf2.union(a, b) for a, b in new_edges)
-        if feasible:
-            edge_set.update(new_edges)
-            chosen.append(idx)
-            done = rec(idx + 1, uf2, count + 1)
-            chosen.pop()
-            edge_set.difference_update(new_edges)
-            if done:
-                return True
-        return rec(idx + 1, uf, count)
+        # v's new edges go to its neighbours not chosen before it
+        joined = _add_star(comps, nbrs[v] & ~chosen | 1 << v)
+        if joined is not None and rec(v + 1, joined, chosen | 1 << v, count + 1):
+            return True
+        return rec(v + 1, comps, chosen, count)
 
-    rec(0, UnionFind(n), 0)
-    return best[0], sorted(best[1])
+    rec(0, [], 0, 0)
+    return best[0], [v for v in range(n) if best[1] >> v & 1]
 
 
-def _neighborhood_masks(g):
-    closed = []
-    open_ = []
-    for v in range(g.n):
-        m = 0
-        for w in g.adjacency[v]:
-            m |= 1 << w
-        open_.append(m)
-        closed.append(m | (1 << v))
-    return closed, open_
-
-
-def lambda_gamma_exact(g, max_vertices=20):
-    """Minimum connected dominating set by increasing-size subset search.
+def lambda_gamma_exact(g):
+    """Minimum connected dominating set by a search over connected vertex sets.
 
     Returns (lambda, gamma_c, witness_tree, witness_cds) using the exchange
     between spanning-tree leaves and connected dominating sets: the
@@ -281,44 +278,45 @@ def lambda_gamma_exact(g, max_vertices=20):
     2(n-1) <= D*i + (n-i), so |S| >= i >= (n-2)/(D-1). This is the tree
     bound behind ``check_propositions``' phi_upper. It is never below the
     domination bound ceil(n/(D+1)), because D <= n-1.
+
+    Each connected set S of size k is listed once, grown from its smallest
+    vertex v (ESU; Wernicke, IEEE/ACM TCBB 3, 2006): taking w from the
+    extension set adds w's neighbours above v outside N[S]. A vertex taken
+    next is covered and has a neighbour in S, so it covers at most D-1 new
+    vertices, and S is dropped once |V \\ N[S]| > (k - |S|)(D-1). The
+    witness is the lexicographically smallest CDS of the least size.
     """
-    _require_connected(g)
     n = g.n
-    if n > max_vertices:
-        raise SizeGuardError(f"CDS search guarded at n <= {max_vertices}, got {n}")
+    if n > CDS_GUARD:
+        raise SizeGuardError(f"CDS search guarded at n <= {CDS_GUARD}, got {n}")
+    nbrs = _neighbour_masks(g)
     if n < 3:
         raise InvalidInputError("leaf/domination exchange needs n >= 3")
-    closed, open_ = _neighborhood_masks(g)
     full = (1 << n) - 1
-    cds = None
-    for k in range(max(1, -(-(n - 2) // (g.max_degree() - 1))), n + 1):
-        for subset in combinations(range(n), k):
-            cover = 0
-            for v in subset:
-                cover |= closed[v]
-            if cover != full:
-                continue
-            # connectivity of the induced subgraph, by mask expansion
-            smask = 0
-            for v in subset:
-                smask |= 1 << v
-            frontier = 1 << subset[0]
-            reach = frontier
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    low = f & -f
-                    nxt |= open_[low.bit_length() - 1]
-                    f ^= low
-                nxt &= smask & ~reach
-                reach |= nxt
-                frontier = nxt
-            if reach == smask:
-                cds = list(subset)
+    slack = g.max_degree() - 1
+    hits = []
+
+    def grow(chosen, cover, ext, size):
+        if (full ^ cover).bit_count() > (k - size) * slack:
+            return
+        if size == k:
+            hits.append(chosen)
+            return
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            adj = nbrs[low.bit_length() - 1]
+            grow(chosen | low, cover | adj, ext | adj & above & ~cover, size + 1)
+
+    for k in range(max(1, -(-(n - 2) // slack)), n + 1):
+        for v in range(n):
+            above = full ^ ((2 << v) - 1)
+            grow(1 << v, nbrs[v] | 1 << v, nbrs[v] & above, 1)
+            if hits:
                 break
-        if cds is not None:
+        if hits:
             break
+    cds = min([u for u in range(n) if s >> u & 1] for s in hits)
     gamma = len(cds)
     lam = n - gamma
     tree = _tree_with_pendants(g, cds)
@@ -364,19 +362,18 @@ def kirchhoff_tree_count(g):
     return round(float(np.linalg.det(lap[1:, 1:])))
 
 
-def exact_result(g, tree_guard=12, star_guard=24, cds_guard=20,
-                 cross_check_tree_limit=500_000):
+def exact_result(g):
     """Full ExactResult with cross-checked phi and lambda when the tree oracle is cheap.
 
-    The enumeration cross-check runs when n fits the tree guard and the
-    Kirchhoff count stays under ``cross_check_tree_limit``; enumerating a
-    dense graph's millions of trees adds nothing over the star search.
+    The enumeration cross-check runs when n <= TREE_GUARD and the Kirchhoff
+    count is at most TREE_COUNT_LIMIT; enumerating a dense graph's millions
+    of trees adds nothing over the star search.
     """
-    phi_s, full_set = phi_exact_stars(g, max_vertices=star_guard)
-    lam, gamma, tree, cds = lambda_gamma_exact(g, max_vertices=cds_guard)
+    phi_s, full_set = phi_exact_stars(g)
+    lam, gamma, tree, cds = lambda_gamma_exact(g)
     tree_count = None
-    if g.n <= tree_guard and (count := kirchhoff_tree_count(g)) <= cross_check_tree_limit:
-        ext = spanning_tree_extrema(g, max_vertices=tree_guard)
+    if g.n <= TREE_GUARD and (count := kirchhoff_tree_count(g)) <= TREE_COUNT_LIMIT:
+        ext = spanning_tree_extrema(g, max_vertices=TREE_GUARD)
         if ext.max_full != phi_s:
             raise InvariantViolationError(
                 f"oracle disagreement: trees say {ext.max_full}, stars say {phi_s}")

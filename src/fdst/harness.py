@@ -224,8 +224,8 @@ def sup_deviations(r, sim_samples, sol_samples):
     """Per-variable sup-norm deviation of a simulation from a solution.
 
     The solution is linearly interpolated onto the simulated grid, restricted
-    to the overlapping x-range, whichever series has more rows. At the
-    default step that interpolation errs by under 1e-4 for r <= 10.
+    to the overlapping x-range. At the default step that interpolation errs
+    by under 1e-4 for r <= 10.
     """
     sim = _columns(r, sim_samples)
     sol = _columns(r, sol_samples)

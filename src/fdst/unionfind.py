@@ -29,10 +29,3 @@ class UnionFind:
         self.size[ra] += self.size[rb]
         self.components -= 1
         return True
-
-    def copy(self):
-        other = UnionFind.__new__(UnionFind)
-        other.parent = list(self.parent)
-        other.size = list(self.size)
-        other.components = self.components
-        return other

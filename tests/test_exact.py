@@ -1,12 +1,15 @@
 """Exact oracles: tree enumeration vs star search, leaf/domination identities,
 degree-bound propositions, and the product constructions.
 
-Two references are kept here as earlier versions of the program's search
+Three references are kept here as earlier versions of the program's search
 code. ``reference_tree_extrema`` rebuilds the contracted edge list at every
 deletion/contraction node and runs a fresh depth-first search before each
 exclude branch; the program walks the same tree order on edge bitmasks.
-``reference_lambda_gamma`` starts its CDS size loop at the domination bound
-ceil(n/(D+1)); the program starts at the tree bound ceil((n-2)/(D-1)).
+``reference_lambda_gamma`` tries every vertex subset of each size from the
+domination bound ceil(n/(D+1)) upward and searches each covering subset for
+connectivity; the program grows connected sets only, from the tree bound
+ceil((n-2)/(D-1)). ``reference_star_union_is_forest`` joins the stars edge
+by edge in a union-find; the program joins each star to component masks.
 """
 from itertools import combinations
 
@@ -17,12 +20,13 @@ from hypothesis import strategies as st
 
 from fdst.catalog import (are_isomorphic, cycle_graph, named_graph, prism_graph)
 from fdst.errors import InvalidInputError, InvariantViolationError, SizeGuardError
-from fdst.exact import (TreeExtrema, _neighborhood_masks, _tree_with_pendants,
-                        check_propositions, construct_grid_torus,
-                        construct_prism_torus, exact_result, lambda_gamma_exact,
-                        phi_exact_stars, phi_exact_trees, prism_torus_witness,
-                        spanning_tree_extrema, star_union_is_forest)
+from fdst.exact import (TreeExtrema, _tree_with_pendants, check_propositions,
+                        construct_grid_torus, construct_prism_torus, exact_result,
+                        lambda_gamma_exact, phi_exact_stars, phi_exact_trees,
+                        prism_torus_witness, spanning_tree_extrema,
+                        star_union_is_forest)
 from fdst.graphs import graph_from_edges, sample_simple_regular
+from fdst.unionfind import UnionFind
 
 
 def kirchhoff_count(g):
@@ -118,7 +122,8 @@ def reference_tree_extrema(g):
 def reference_lambda_gamma(g):
     """The earlier CDS search, whose size loop starts at ceil(n/(D+1))."""
     n = g.n
-    closed, open_ = _neighborhood_masks(g)
+    open_ = [sum(1 << w for w in g.adjacency[v]) for v in range(n)]
+    closed = [open_[v] | 1 << v for v in range(n)]
     full = (1 << n) - 1
     for k in range(max(1, -(-n // (g.max_degree() + 1))), n + 1):
         for subset in combinations(range(n), k):
@@ -139,6 +144,21 @@ def reference_lambda_gamma(g):
             if reach == smask:
                 cds = list(subset)
                 return n - k, k, _tree_with_pendants(g, cds), cds
+
+
+def reference_star_union_is_forest(g, vertices):
+    """The earlier acyclicity test: a union-find over the stars' distinct edges."""
+    uf = UnionFind(g.n)
+    seen = set()
+    for v in vertices:
+        for w in g.adjacency[v]:
+            e = (v, w) if v < w else (w, v)
+            if e in seen:
+                continue
+            seen.add(e)
+            if not uf.union(*e):
+                return False
+    return True
 
 
 @st.composite
@@ -189,11 +209,30 @@ def test_cds_search_matches_reference(g):
     assert lambda_gamma_exact(g) == reference_lambda_gamma(g)
 
 
+def test_cds_search_pinned_at_its_guard():
+    # a cubic graph at the CDS guard n=20 whose gamma_C = 10 is above the tree bound 9
+    g = sample_simple_regular(20, 3, np.random.default_rng(0))
+    res = lambda_gamma_exact(g)
+    assert res[:2] == (10, 10)
+    assert res[3] == [0, 1, 2, 5, 7, 9, 12, 13, 15, 18]
+    assert res == reference_lambda_gamma(g)
+
+
 def test_cds_start_bound_is_tight_on_c6():
     # gamma_C = n - 2 = ceil((n-2)/(D-1)) for D = 2: the first size tried
     g = named_graph("c6")
     assert lambda_gamma_exact(g) == reference_lambda_gamma(g)
     assert lambda_gamma_exact(g)[1] == 4 == -(-(g.n - 2) // (g.max_degree() - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(1, 9, max_extra=14), st.data())
+def test_star_search_matches_enumeration_and_reference(g, data):
+    phi, full_set = phi_exact_stars(g)
+    assert phi == spanning_tree_extrema(g).max_full
+    assert reference_star_union_is_forest(g, full_set)
+    vertices = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    assert star_union_is_forest(g, vertices) == reference_star_union_is_forest(g, vertices)
 
 
 @pytest.mark.parametrize("name,phi", [
@@ -237,7 +276,6 @@ def test_lambda_gamma_known_values(name, lam, gamma):
     assert (got_lam, got_gamma) == (lam, gamma)
     assert len(cds) == gamma
     # witness tree: a spanning tree of g with exactly lambda leaves
-    from fdst.unionfind import UnionFind
     uf = UnionFind(g.n)
     deg = [0] * g.n
     assert len(tree) == g.n - 1
@@ -282,7 +320,7 @@ def test_propositions_on_higher_degree_samples():
     for n, r, seed in ((10, 4, 1), (12, 4, 2), (12, 5, 3)):
         graphs.append(sample_simple_regular(n, r, np.random.default_rng(seed)))
     for g in graphs:
-        res = exact_result(g, tree_guard=12)
+        res = exact_result(g)
         report = check_propositions(g, res)
         assert report["all_pass"], report
 
@@ -303,6 +341,8 @@ def test_size_guards():
         phi_exact_trees(mk)  # n=16 above the default guard
     with pytest.raises(SizeGuardError):
         lambda_gamma_exact(cycle_graph(25))
+    with pytest.raises(SizeGuardError):
+        lambda_gamma_exact(cycle_graph(21))  # one above the CDS guard
     with pytest.raises(SizeGuardError):
         phi_exact_stars(cycle_graph(30))
 
@@ -380,8 +420,8 @@ def test_exact_result_reports_the_enumerated_tree_count():
 
 
 def test_exact_result_rejects_lambda_disagreement(monkeypatch):
-    def off_by_one(g, max_vertices=20):
-        lam, gamma, tree, cds = lambda_gamma_exact(g, max_vertices)
+    def off_by_one(g):
+        lam, gamma, tree, cds = lambda_gamma_exact(g)
         return lam + 1, gamma, tree, cds
 
     monkeypatch.setattr("fdst.exact.lambda_gamma_exact", off_by_one)

@@ -336,6 +336,7 @@ SOLUTION = CSV_HEADER + "0,0,0,1,0,0,3,1\n0.5,0,0,0.5,0.5,0.2,1.5,1\n"
     (["exact", "--construction", "prism r=3"], {}),
     (["exact", "--construction", "prism r=x m=4"], {}),
     (["exact", "--construction", "prism r=3 m=4 k=2"], {}),
+    (["exact", "--construction", "prism r=3 m=5 m=6"], {}),
     (["compare", "--sim-dir", ".", "--ode-csv", "missing.csv"], {}),
     (["compare", "--sim-dir", ".", "--ode-csv", "sol.csv"],
      {"sol.csv": CSV_HEADER + "0,0,0,1,0,0,3,one\n"}),
@@ -346,8 +347,8 @@ SOLUTION = CSV_HEADER + "0,0,0,1,0,0,3,1\n0.5,0,0,0.5,0.5,0.2,1.5,1\n"
     (["simulate", "--r", "3", "--n", "10", "--trials", "2", "--jobs", "0"], {}),
     (["simulate", "--r", "3", "--n", "10", "--trials", "2", "--jobs", "-3"], {}),
 ], ids=["edge-token", "header-token", "no-vertices", "missing-graph-file",
-        "missing-key", "non-integer-value", "unknown-key", "missing-csv", "non-numeric-cell",
-        "no-rows", "short-rows", "jobs-zero", "jobs-negative"])
+        "missing-key", "non-integer-value", "unknown-key", "repeated-key", "missing-csv",
+        "non-numeric-cell", "no-rows", "short-rows", "jobs-zero", "jobs-negative"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
