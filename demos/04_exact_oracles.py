@@ -2,17 +2,22 @@
 
 Run:  python demos/04_exact_oracles.py
 """
-from fdst.catalog import connected_cubic_graphs, named_graph
+import numpy as np
+
+from fdst.catalog import named_graph
 from fdst.exact import (check_propositions, construct_grid_torus,
                         construct_prism_torus, exact_result,
                         phi_exact_stars, phi_exact_trees, prism_torus_witness,
                         star_union_is_forest)
+from fdst.graphs import is_connected, sample_simple_regular
+
+CUBIC_NAMES = ("k4", "k33", "prism", "cube", "petersen")
 
 print("=" * 64)
 print("phi / lambda / gamma_C on named graphs")
 print("=" * 64)
 print(f"{'graph':>16} {'n':>4} {'phi':>4} {'lambda':>7} {'gamma_C':>8} {'trees':>8}")
-for name in ("k4", "k33", "prism", "cube", "petersen"):
+for name in CUBIC_NAMES:
     g = named_graph(name)
     res = exact_result(g)
     print(f"{name:>16} {g.n:>4} {res.phi:>4} {res.lam:>7} {res.gamma_c:>8} "
@@ -20,16 +25,22 @@ for name in ("k4", "k33", "prism", "cube", "petersen"):
 
 print()
 print("=" * 64)
-print("Both phi oracles on every connected cubic graph with n <= 8")
+print("Both phi oracles on the named and on seeded random cubic graphs")
 print("=" * 64)
-for n in (4, 6, 8):
-    for i, g in enumerate(connected_cubic_graphs(n)):
-        pt, _ = phi_exact_trees(g)
-        ps, _ = phi_exact_stars(g)
-        res = exact_result(g)
-        ok = check_propositions(g, res)["all_pass"]
-        print(f"n={n} #{i}: phi(trees)={pt} phi(stars)={ps} "
-              f"lambda={res.lam} gamma_C={res.gamma_c} propositions={'ok' if ok else 'FAIL'}")
+rng = np.random.default_rng(4)
+cubic = [(name, named_graph(name)) for name in CUBIC_NAMES]
+for n in (8, 10, 12):
+    g = sample_simple_regular(n, 3, rng)
+    while not is_connected(g):
+        g = sample_simple_regular(n, 3, rng)
+    cubic.append((f"random n={n}", g))
+for label, g in cubic:
+    pt, _ = phi_exact_trees(g)
+    ps, _ = phi_exact_stars(g)
+    res = exact_result(g)
+    ok = check_propositions(g, res)["all_pass"]
+    print(f"{label:>13}: phi(trees)={pt} phi(stars)={ps} "
+          f"lambda={res.lam} gamma_C={res.gamma_c} propositions={'ok' if ok else 'FAIL'}")
 
 print()
 print("=" * 64)

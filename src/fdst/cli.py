@@ -11,8 +11,6 @@ import glob
 import os
 import sys
 
-import numpy as np
-
 from . import harness
 from .catalog import NAMED_GRAPHS, named_graph
 from .errors import (AttemptsExhaustedError, BlendDegenerateError,
@@ -224,33 +222,29 @@ def cmd_compare(args):
     if not sim_paths:
         raise InvalidInputError(f"no trial trajectories under {args.sim_dir}")
     sim_samples = []
-    finals = []
     for path in sim_paths:
         r, samples = harness.read_trajectory_csv(path)
         if r != sol_r:
             raise InvalidInputError(
                 f"r mismatch: simulation {path} has r={r}, solution has r={sol_r}")
         sim_samples.append(samples)
-        finals.append(samples[-1, columns(r).index("zF")])
     report = harness.compare_simulations_to_solution(
-        sol_r, sim_samples, sol, np.asarray(finals),
-        sup_tol=args.sup_tol, mean_tol=args.mean_tol)
-    for name, dev in report.max_deviations.items():
+        sol_r, sim_samples, sol, sup_tol=args.sup_tol, mean_tol=args.mean_tol)
+    for name, dev in report["max_deviations"].items():
         print(f"sup |sim - sol| {name}: {dev:.5f}")
-    print(f"mean final F/n = {report.mean_final_full_fraction:.5f} "
-          f"vs reference {report.reference_full_fraction:.5f} "
-          f"(std {report.std_final_full_fraction:.5f})")
-    print("comparison", "passed" if report.passed else "FAILED")
+    print(f"mean final F/n = {report['mean_final_full_fraction']:.5f} "
+          f"vs reference {report['reference_full_fraction']:.5f} "
+          f"(std {report['std_final_full_fraction']:.5f})")
+    print("comparison", "passed" if report["passed"] else "FAILED")
     out = _ensure_out(args)
     if out:
-        harness.write_json(report.to_dict(),
-                           os.path.join(out, f"compare_r{sol_r}.json"))
+        harness.write_json(report, os.path.join(out, f"compare_r{sol_r}.json"))
         header, rows = harness.merged_overlay_rows(sol_r, sim_samples, sol)
         with open(os.path.join(out, f"compare_merged_r{sol_r}.csv"), "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    return 0 if report.passed else 1
+    return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------

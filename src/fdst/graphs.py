@@ -69,9 +69,6 @@ class SimpleGraph:
                     out.append((u, v))
         return out
 
-    def num_edges(self):
-        return sum(len(a) for a in self.adjacency) // 2
-
     def has_edge(self, u, v):
         return v in self.adjacency[u]
 

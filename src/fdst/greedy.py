@@ -407,14 +407,20 @@ def run_on_pairing(pairing, rng, record_steps=False):
 
 
 def run_on_graph(g, rng, record_steps=False):
-    """Run the algorithm on a concrete connected r-regular graph."""
+    """Run the algorithm on a concrete connected r-regular graph.
+
+    r is read off the degrees, so any regular ``SimpleGraph`` will do.
+    """
+    if g.n == 0 or g.min_degree() != g.max_degree():
+        raise InvalidInputError("graph mode requires a nonempty regular input graph")
+    r = g.max_degree()
     # point v*r+i pairs with point w*r+j of w = adj[v][i], where j is v's
     # index in w's sorted list: a stable sort by w puts the points of w's
     # neighbours at w*r..w*r+r-1 in increasing order of the neighbour
     nbrs = np.array(g.adjacency, dtype=np.int64).ravel()
     matches = np.empty(len(nbrs), dtype=np.int64)
     matches[np.argsort(nbrs, kind="stable")] = np.arange(len(nbrs))
-    result = run_on_pairing(Pairing(n=g.n, r=g.r, matches=matches), rng, record_steps)
+    result = run_on_pairing(Pairing(n=g.n, r=r, matches=matches), rng, record_steps)
     if not result.connected:
         raise InvalidInputError("graph mode requires a connected input graph")
     return result

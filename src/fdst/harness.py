@@ -19,7 +19,6 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -174,15 +173,14 @@ def aggregate_trials(records):
 # table reproduction
 # ---------------------------------------------------------------------------
 
-def reproduce_table1(step=DEFAULT_STEP, event_tol=DEFAULT_EVENT_TOL, rs=range(3, 11)):
-    """Integrate every r, compare f_r against the reference table."""
+def reproduce_table1(step=DEFAULT_STEP, event_tol=DEFAULT_EVENT_TOL):
+    """Integrate every r of the reference table, compare f_r against it."""
     rows = []
     solutions = {}
     t0 = time.perf_counter()
-    for r in rs:
+    for r, ref in constants.FULL_DEGREE_FRACTION.items():
         res = integrate_two_phase(r, step_size=step, event_tol=event_tol)
         solutions[r] = res
-        ref = constants.FULL_DEGREE_FRACTION[r]
         rows.append({
             "r": r,
             "f_r_computed": res.f_r,
@@ -240,56 +238,36 @@ def sup_deviations(r, sim_samples, sol_samples):
     return devs
 
 
-@dataclass
-class CompareReport:
-    r: int
-    per_trial_deviations: list
-    max_deviations: dict
-    mean_final_full_fraction: float
-    std_final_full_fraction: float
-    reference_full_fraction: float
-    sup_tolerance: float
-    mean_tolerance: float
-    sup_passed: bool
-    mean_passed: bool
-
-    @property
-    def passed(self):
-        return self.sup_passed and self.mean_passed
-
-    def to_dict(self):
-        return {**asdict(self), "passed": self.passed}
-
-
-def compare_simulations_to_solution(r, sim_samples_list, sol_samples, finals,
+def compare_simulations_to_solution(r, sim_samples_list, sol_samples,
                                     sup_tol=0.01, mean_tol=0.005):
-    """CompareReport for a batch of trajectories against one solution grid.
+    """Compare a batch of trajectories against one solution grid.
 
-    ``finals`` are the per-trial final full-degree fractions; the mean is
-    checked against the solution's final z_F.
+    Each trial's final full-degree fraction is the last z_F of its table;
+    their mean is checked against the solution's final z_F. Returns the
+    dict that ``fdst compare`` writes, ``passed`` included.
     """
-    per_trial = []
-    for samples in sim_samples_list:
-        per_trial.append(sup_deviations(r, samples, sol_samples))
+    per_trial = [sup_deviations(r, samples, sol_samples) for samples in sim_samples_list]
     max_devs = {name: max(d[name] for d in per_trial) if per_trial else 0.0
                 for name in _variable_names(r)}
+    finals = np.array([_columns(r, samples)["zF"][-1] for samples in sim_samples_list])
     f_ref = float(_columns(r, sol_samples)["zF"][-1])
     mean_final = float(np.mean(finals)) if len(finals) else float("nan")
     std_final = float(np.std(finals)) if len(finals) else float("nan")
     sup_ok = all(v <= sup_tol for v in max_devs.values())
     mean_ok = abs(mean_final - f_ref) <= mean_tol if len(finals) else False
-    return CompareReport(
-        r=r,
-        per_trial_deviations=per_trial,
-        max_deviations=max_devs,
-        mean_final_full_fraction=mean_final,
-        std_final_full_fraction=std_final,
-        reference_full_fraction=f_ref,
-        sup_tolerance=sup_tol,
-        mean_tolerance=mean_tol,
-        sup_passed=sup_ok,
-        mean_passed=mean_ok,
-    )
+    return {
+        "r": r,
+        "per_trial_deviations": per_trial,
+        "max_deviations": max_devs,
+        "mean_final_full_fraction": mean_final,
+        "std_final_full_fraction": std_final,
+        "reference_full_fraction": f_ref,
+        "sup_tolerance": sup_tol,
+        "mean_tolerance": mean_tol,
+        "sup_passed": sup_ok,
+        "mean_passed": mean_ok,
+        "passed": sup_ok and mean_ok,
+    }
 
 
 def merged_overlay_rows(r, sim_samples_list, sol_samples):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fdst.catalog import cycle_graph, named_graph
+from fdst.catalog import complete_bipartite, cycle_graph, named_graph
 from fdst.errors import InvalidInputError, InvariantViolationError
 from fdst.exact import construct_prism_torus, phi_exact_stars
 from fdst.graphs import graph_from_edges, sample_simple_regular, is_connected
@@ -28,12 +28,16 @@ def tree_degrees(n, edges):
 
 
 def test_k4_always_one_full_vertex():
-    g = named_graph("k4")
-    for seed in range(50):
-        res = run_on_graph(g, np.random.default_rng(seed))
-        assert res.full_degree_count == 1
-        assert res.leaf_count == 3
-        assert_spanning_tree(g, res.tree)
+    k4 = named_graph("k4")
+    # built without r, K4 is a plain SimpleGraph: its degrees give r
+    bare = graph_from_edges(4, k4.edges())
+    assert not hasattr(bare, "r")
+    for g in (k4, bare):
+        for seed in range(50):
+            res = run_on_graph(g, np.random.default_rng(seed))
+            assert res.full_degree_count == 1
+            assert res.leaf_count == 3
+            assert_spanning_tree(g, res.tree)
 
 
 def test_k33_full_count_in_allowed_range():
@@ -103,6 +107,10 @@ def test_run_requires_connected_graph():
 def test_run_requires_r_at_least_3():
     with pytest.raises(InvalidInputError):
         run_on_graph(cycle_graph(6), np.random.default_rng(0))
+    # an irregular or empty graph has no r at all
+    for g in (complete_bipartite(2, 3), graph_from_edges(0, [])):
+        with pytest.raises(InvalidInputError, match="regular"):
+            run_on_graph(g, np.random.default_rng(0))
 
 
 def test_determinism():

@@ -286,7 +286,7 @@ def test_final_fraction_r4_matches_reference():
     assert abs(traj.column("zF")[-1] - 0.2699) < 0.01
 
 
-def test_trajectory_stats_summary():
+def test_final_row_and_sampled_phase_flip():
     res, traj = run_lazy(5000, 3, np.random.default_rng(10))
     assert traj.column("zF")[-1] == res.full_degree_count / res.n
     assert len(traj.column("zF")) == len(traj.samples)
