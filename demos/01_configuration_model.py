@@ -36,7 +36,12 @@ print()
 print("=" * 64)
 print("Rejection sampling a uniform simple 3-regular graph")
 print("=" * 64)
+# the graph is the projection of the pairing sample_simple_pairing accepts,
+# so replaying the same stream through it gives that pairing's rejections
+state = rng.bit_generator.state
 g = sample_simple_regular(n=10_000, r=3, rng=rng)
-print(f"n={g.n}: accepted after {g.rejections} rejections; "
+rng.bit_generator.state = state
+_, rejections = sample_simple_pairing(10_000, 3, rng)
+print(f"n={g.n}: accepted after {rejections} rejections; "
       f"connected: {is_connected(g)}")
 print("adjacency of vertex 0:", g.adjacency[0])

@@ -20,9 +20,9 @@ Library layout:
 from .exact import (ExactResult, check_propositions, construct_grid_torus,
                     construct_prism_torus, exact_result, lambda_gamma_exact,
                     phi_exact_stars, phi_exact_trees, spanning_tree_extrema)
-from .graphs import (Pairing, RegularGraph, SimpleGraph, graph_from_edges,
-                     is_connected, read_graph, sample_pairing,
-                     sample_simple_pairing, sample_simple_regular, write_graph)
+from .graphs import (Pairing, SimpleGraph, graph_from_edges, is_connected,
+                     read_graph, sample_pairing, sample_simple_pairing,
+                     sample_simple_regular, write_graph)
 from .greedy import (SpanningTreeResult, StepOutcome, Trajectory, run_lazy,
                      run_on_graph, run_on_pairing)
 from .ode import (TrajectoryResult, analytic_phase1, blend_phase2, deriv_op1,

@@ -34,22 +34,10 @@ def _read_config(path):
                 if "=" not in line:
                     raise InvalidInputError(f"{path}: expected key=value, got {line!r}")
                 key, raw = (part.strip() for part in line.split("=", 1))
-                values[key.replace("-", "_")] = _coerce(raw)
+                values[key.replace("-", "_")] = raw
     except OSError as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     return values
-
-
-def _coerce(raw):
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw
 
 
 def _ensure_out(args):
@@ -300,10 +288,16 @@ def _build_parser(config):
     comp.add_argument("--out", default=None)
     comp.set_defaults(func=cmd_compare)
 
-    if config:
-        for sp in sub.choices.values():
-            dests = {action.dest for action in sp._actions}
-            sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
+    # config values stay strings: argparse converts a string default with its
+    # flag's type when the flag is not given; a key of another command is ignored
+    known = set()
+    for sp in sub.choices.values():
+        dests = {action.dest for action in sp._actions}
+        known |= dests
+        sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
+    unknown = sorted(config.keys() - known)
+    if unknown:
+        raise InvalidInputError(f"config key {unknown[0]!r} is a flag of no command")
     return parser
 
 

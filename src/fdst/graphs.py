@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import AttemptsExhaustedError, InvalidInputError
 
+# pairings sample_simple_pairing rejects before it gives up
+MAX_ATTEMPTS = 20_000
+
 
 @dataclass
 class Pairing:
@@ -51,6 +54,12 @@ class SimpleGraph:
     n: int
     adjacency: list
 
+    @property
+    def r(self):
+        """The common degree, or None when the graph is irregular or empty."""
+        degrees = {len(a) for a in self.adjacency}
+        return degrees.pop() if len(degrees) == 1 else None
+
     def degree(self, v):
         return len(self.adjacency[v])
 
@@ -72,7 +81,7 @@ class SimpleGraph:
     def has_edge(self, u, v):
         return v in self.adjacency[u]
 
-    def validate_simple(self):
+    def validate(self):
         for u, nbrs in enumerate(self.adjacency):
             if u in nbrs:
                 raise InvalidInputError(f"loop at vertex {u}")
@@ -85,34 +94,20 @@ class SimpleGraph:
                     raise InvalidInputError(f"asymmetric edge ({u}, {v})")
 
 
-@dataclass
-class RegularGraph(SimpleGraph):
-    """Simple r-regular graph. ``rejections`` records sampler rejections, if any."""
-
-    r: int = 0
-    rejections: int = 0
-
-    def validate(self):
-        self.validate_simple()
-        for u, nbrs in enumerate(self.adjacency):
-            if len(nbrs) != self.r:
-                raise InvalidInputError(f"vertex {u} has degree {len(nbrs)} != {self.r}")
-
-
 def graph_from_edges(n, edges, r=None):
-    """Build a SimpleGraph (or RegularGraph when r is given) from an edge list."""
+    """Build and validate a SimpleGraph from an edge list; given r, every degree must be r."""
     adjacency = [[] for _ in range(n)]
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
     for a in adjacency:
         a.sort()
-    if r is None:
-        g = SimpleGraph(n=n, adjacency=adjacency)
-        g.validate_simple()
-    else:
-        g = RegularGraph(n=n, adjacency=adjacency, r=r)
-        g.validate()
+    g = SimpleGraph(n=n, adjacency=adjacency)
+    g.validate()
+    if r is not None:
+        for u, nbrs in enumerate(adjacency):
+            if len(nbrs) != r:
+                raise InvalidInputError(f"vertex {u} has degree {len(nbrs)} != {r}")
     return g
 
 
@@ -133,7 +128,7 @@ def sample_pairing(n, r, rng):
     return Pairing(n=n, r=r, matches=matches)
 
 
-def sample_simple_pairing(n, r, rng, max_attempts=20_000):
+def sample_simple_pairing(n, r, rng):
     """Uniform pairing whose projection is a simple graph, by rejection.
 
     Draws ``sample_pairing``'s pairings until one projects to a simple
@@ -143,15 +138,15 @@ def sample_simple_pairing(n, r, rng, max_attempts=20_000):
     Europ. J. Combin. 1, 1980). Connectivity is *not* enforced here; callers
     that need a connected graph must check (keeps the sampler exactly
     uniform over simple r-regular graphs). Raises AttemptsExhaustedError
-    after max_attempts rejections. The acceptance rate decays like
-    exp(-(r*r-1)/4) and is worse at small n, so the default attempt budget
-    is generous; r above ~6 is impractical.
+    after MAX_ATTEMPTS rejections. The acceptance rate decays like
+    exp(-(r*r-1)/4) and is worse at small n, so the attempt budget is
+    generous; r above ~6 is impractical.
     """
     if not 3 <= r <= n - 1:
         raise InvalidInputError(f"need 3 <= r <= n-1, got n={n}, r={r}")
     if (n * r) % 2:
         raise InvalidInputError(f"r*n must be even, got n={n}, r={r}")
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         # the pairing of sample_pairing, checked on the buckets of its pairs
         perm = rng.permutation(n * r)
         a, b = perm[0::2], perm[1::2]
@@ -166,19 +161,14 @@ def sample_simple_pairing(n, r, rng, max_attempts=20_000):
         matches[b] = a
         return Pairing(n=n, r=r, matches=matches), attempt
     raise AttemptsExhaustedError(
-        f"no simple graph in {max_attempts} attempts (n={n}, r={r})")
+        f"no simple graph in {MAX_ATTEMPTS} attempts (n={n}, r={r})")
 
 
-def sample_simple_regular(n, r, rng, max_attempts=20_000):
-    """Uniform simple r-regular graph: the projection of ``sample_simple_pairing``.
-
-    ``rejections`` on the result counts the pairings rejected before it.
-    """
-    pairing, rejections = sample_simple_pairing(n, r, rng, max_attempts)
+def sample_simple_regular(n, r, rng):
+    """Uniform simple r-regular graph: the projection of ``sample_simple_pairing``."""
+    pairing, _ = sample_simple_pairing(n, r, rng)
     p, q = pairing._pair_points()
-    g = graph_from_edges(n, zip((p // r).tolist(), (q // r).tolist()), r=r)
-    g.rejections = rejections
-    return g
+    return graph_from_edges(n, zip((p // r).tolist(), (q // r).tolist()), r=r)
 
 
 def is_connected(g):
@@ -205,11 +195,11 @@ def write_graph(g, path):
 
     The format carries a single degree, so only regular graphs roundtrip.
     """
-    degrees = {g.degree(v) for v in range(g.n)}
-    if len(degrees) != 1:
+    r = g.r
+    if r is None:
         raise InvalidInputError("graph file format requires a regular graph")
     with open(path, "w") as fh:
-        fh.write(f"{g.n} {degrees.pop()}\n")
+        fh.write(f"{g.n} {r}\n")
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
 

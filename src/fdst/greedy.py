@@ -6,12 +6,13 @@ run, and reveals the partners of a vertex's points only when it processes
 that vertex. It grows a forest from a random star, prefers processing
 current leaves (L) over unseen vertices (Z_r), and finally completes the
 forest to a spanning tree. Completion joins the greedy's own components:
-each vertex that joins the forest records its parent and takes its
-parent's component label, a fresh vertex with no forest partner starts a
-component, and Kruskal's rule (Kruskal, Proc. AMS 7, 1956) then runs over
-the pairing's pairs between components alone, smallest first. A result's
-tree is the (m, 2) int64 array of its edge rows (u, v), u < v, in
-lexicographic order, decoded from completion's sorted keys u*n + v.
+each vertex that joins the forest records its parent, a fresh vertex with
+no forest partner starts a component as its root, completion names each
+component by its root, and Kruskal's rule (Kruskal, Proc. AMS 7, 1956)
+then runs over the pairing's pairs between components alone, smallest
+first. A result's tree is the (m, 2) int64 array of its edge rows (u, v),
+u < v, in lexicographic order, decoded from completion's sorted keys
+u*n + v.
 Class bookkeeping follows per-point semantics: a vertex not in the forest
 with i unrevealed points is in class Z_i, a forest leaf with r-1 unrevealed
 points is in L, and anything hit along the way drops down a class or goes
@@ -110,33 +111,40 @@ def _int64s(values):
     return out
 
 
-def _complete(n, labels, forest_u, forest_v, u, v, saturated):
+def _complete(n, parent, u, v, saturated):
     """Join the components of a forest with the vertex pairs (u[i], v[i]).
 
-    ``labels[x]`` in 0..n-1 names the forest component of x, and the forest's
-    edges are (forest_u[i], forest_v[i]). Every forest edge must lie within one
-    label, and there must be n - (forest edges) labels: when the labels are the
-    forest's components, that count holds exactly when the forest is acyclic.
-    A pair within one label (a loop, or an edge inside a component) is
-    dropped. Kruskal's rule scans the rest by their keys min*n + max, smallest
-    first, with a union-find over the labels, and keeps a pair when it joins
-    two components, so a repeated pair is kept at most once; a kept edge may
-    not touch a saturated vertex. Returns the sorted keys u*n + v
-    (u < v) of the tree's edges and whether they span all n vertices.
+    The forest is ``parent``: a root is its own parent, and every other x
+    has the forest edge (x, parent[x]). Each vertex's component is named by
+    its root, found by pointer jumping (Wyllie, PhD thesis, Cornell, 1979):
+    an acyclic forest settles on its roots within n.bit_length() rounds, so
+    labels that are not roots after one more mean ``parent`` has a cycle.
+    A pair within one component (a loop, or an edge inside a component) is
+    dropped. Kruskal's rule scans the rest by their keys min*n + max,
+    smallest first, with a union-find over the components, and keeps a pair
+    when it joins two components, so a repeated pair is kept at most once; a
+    kept edge may not touch a saturated vertex. Returns the sorted keys
+    u*n + v (u < v) of the tree's edges and whether they span all n vertices.
     """
-    labels = np.asarray(labels)
-    present = np.bincount(labels, minlength=n) > 0
-    components = int(np.count_nonzero(present))
-    if components != n - len(forest_u):
-        raise InvariantViolationError(
-            f"{components} forest components, but n - edges = {n - len(forest_u)}")
-    if np.any(labels[forest_u] != labels[forest_v]):
-        raise InvariantViolationError("a forest edge joins two components")
+    parent = np.asarray(parent, dtype=np.int64)
+    labels, up = parent.copy(), np.empty(n, dtype=np.int64)
+    for _ in range(n.bit_length() + 1):
+        np.take(labels, labels, out=up)
+        if np.array_equal(up, labels):
+            break
+        labels, up = up, labels
+    if not np.array_equal(np.take(parent, labels, out=up), labels):
+        raise InvariantViolationError("the forest's parent pointers have a cycle")
+    del up  # freed before the cross filter, which sets completion's memory peak
+    root = parent == np.arange(n)
+    forest_u = np.flatnonzero(~root)
+    forest_v = parent[forest_u]
+    components = n - len(forest_u)
     cross = labels[u] != labels[v]
     u, v = u[cross], v[cross]
     cross_keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
     lo, hi = np.divmod(cross_keys, n)
-    dense = np.cumsum(present) - 1  # label -> component index 0..components-1
+    dense = np.cumsum(root) - 1  # root -> component index 0..components-1
     union = UnionFind(components).union
     kept = [i for i, (a, b) in enumerate(zip(dense[labels[lo]].tolist(),
                                              dense[labels[hi]].tolist()))
@@ -159,8 +167,8 @@ class _State:
     points, the fresh pool ``fresh`` the unseen vertices (class Z_r) not yet
     processed. No vertex is in both, so they share ``pos``: pos[x] is x's
     index in its pool. The forest is ``parent``: a root is its own parent and
-    any other forest vertex has the vertex whose step joined it. ``labels[v]``
-    is the root of v's component; a vertex outside the forest is a root.
+    any other forest vertex has the vertex whose step joined it; a vertex
+    outside the forest is a root. Completion finds the components from it.
     """
 
     def __init__(self, n, r):
@@ -172,7 +180,6 @@ class _State:
         self.in_forest = bytearray(n)
         self.full = bytearray(n)
         self.parent = _int64s(np.arange(n))
-        self.labels = _int64s(np.arange(n))
         self.count_z = [0] * (r + 1)
         self.count_z[r] = n
         self.full_count = 0
@@ -192,14 +199,8 @@ class _State:
             return "L" if self.unrevealed[v] == self.r - 1 else "dead_leaf"
         return f"Z{self.unrevealed[v]}"
 
-    def forest_edges(self):
-        """Arrays u, v of the forest's edges (u[i], parent u[i])."""
-        parent = np.frombuffer(self.parent, dtype=np.int64)
-        u = np.flatnonzero(parent != np.arange(self.n))
-        return u, parent[u]
-
     def audit(self):
-        """O(n) recomputation of every incremental counter, pool and label."""
+        """O(n) recomputation of every incremental counter and pool, and of the forest."""
         n, r = self.n, self.r
         count_z = [0] * (r + 1)
         leaves, fresh = set(), set()
@@ -238,13 +239,6 @@ class _State:
                 raise InvariantViolationError(f"forest edge ({v}, {p}) leaves the forest")
             if not uf.union(v, p):
                 raise InvariantViolationError("greedy forest has a cycle")
-        # the labels must name exactly the union-find's components
-        label_of = {}
-        for v in range(n):
-            if label_of.setdefault(uf.find(v), self.labels[v]) != self.labels[v]:
-                raise InvariantViolationError(f"vertex {v} has another label than its component")
-        if len(set(label_of.values())) != len(label_of):
-            raise InvariantViolationError("two forest components share a label")
 
 
 def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
@@ -258,7 +252,7 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
     """
     n, r = s.n, s.r
     revealed, unrevealed, in_forest, full = s.revealed, s.unrevealed, s.in_forest, s.full
-    parent, labels, count_z = s.parent, s.labels, s.count_z
+    parent, count_z = s.parent, s.count_z
     leaves, fresh, pos = s.leaves, s.fresh, s.pos
     # hot counters live in locals; s gets them back before sample() and audit()
     unrevealed_points, full_count = s.unrevealed_points, s.full_count
@@ -330,13 +324,10 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
         if success:
             if inside:  # a fresh vertex joins its one forest partner's component
                 parent[v] = anchor
-                labels[v] = labels[anchor]
-            label = labels[v]
             for w in partners:
                 if not in_forest[w]:
                     in_forest[w] = 1
                     parent[w] = v
-                    labels[w] = label
                     count_z[unrevealed[w]] -= 1
                     if unrevealed[w] == r - 1:
                         pos[w] = len(leaves)
@@ -373,7 +364,7 @@ def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
         s, rng, _int64s(pairing.matches), sample_stride, record_steps, invariant_checks)
     full = np.frombuffer(s.full, dtype=np.bool_)
     p, q = pairing._pair_points()
-    keys, connected = _complete(n, s.labels, *s.forest_edges(), p // r, q // r, full)
+    keys, connected = _complete(n, s.parent, p // r, q // r, full)
     tree = np.column_stack(np.divmod(keys, n))
     deg = np.bincount(tree.ravel(), minlength=n)
     bad = np.flatnonzero(full & (deg != r))
@@ -411,9 +402,9 @@ def run_on_graph(g, rng, record_steps=False):
 
     r is read off the degrees, so any regular ``SimpleGraph`` will do.
     """
-    if g.n == 0 or g.min_degree() != g.max_degree():
+    r = g.r
+    if r is None:
         raise InvalidInputError("graph mode requires a nonempty regular input graph")
-    r = g.max_degree()
     # point v*r+i pairs with point w*r+j of w = adj[v][i], where j is v's
     # index in w's sorted list: a stable sort by w puts the points of w's
     # neighbours at w*r..w*r+r-1 in increasing order of the neighbour

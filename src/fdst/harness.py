@@ -222,8 +222,9 @@ def sup_deviations(r, sim_samples, sol_samples):
     """Per-variable sup-norm deviation of a simulation from a solution.
 
     The solution is linearly interpolated onto the simulated grid, restricted
-    to the overlapping x-range. At the default step that interpolation errs
-    by under 1e-4 for r <= 10.
+    to the overlapping x-range; a simulation with no x in that range is an
+    input error. At the default step that interpolation errs by under 1e-4
+    for r <= 10.
     """
     sim = _columns(r, sim_samples)
     sol = _columns(r, sol_samples)
@@ -231,6 +232,10 @@ def sup_deviations(r, sim_samples, sol_samples):
     lo = max(sim["x"][0], sol["x"][0])
     mask = (sim["x"] >= lo) & (sim["x"] <= hi)
     grid = sim["x"][mask]
+    if not len(grid):
+        raise InvalidInputError(
+            f"no simulated x lies in the solution's x-range "
+            f"[{sol['x'][0]:g}, {sol['x'][-1]:g}]")
     devs = {}
     for name in _variable_names(r):
         sol_vals = np.interp(grid, sol["x"], sol[name])

@@ -162,15 +162,14 @@ def _rk4_step(f, z, h):
             for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
 
 
-def _locate_zero(f, z, h, comp, event_tol):
+def _locate_zero(f, z, h, best, comp, event_tol):
     """Bisect the step fraction at which coordinate ``comp`` crosses zero.
 
-    z[comp] > 0 and the full step lands at or below 0; returns (s, state)
-    with |state[comp]| <= event_tol, or raises EventNotFoundError when the
-    halvings run out first.
+    z[comp] > 0 and the full step from z lands at ``best``, with best[comp]
+    <= 0; returns (s, state) with |state[comp]| <= event_tol, or raises
+    EventNotFoundError when the halvings run out first.
     """
     lo, hi = 0.0, h
-    best = _rk4_step(f, z, h)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         zm = _rk4_step(f, z, mid)
@@ -214,7 +213,7 @@ def _integrate_phase(f, z0, x0, step, event_comp, event_tol, phase):
                 exc.x = x
             raise
         if z[event_comp] > 0.0 >= zn[event_comp]:
-            s, z_end = _locate_zero(f, z, step, event_comp, event_tol)
+            s, z_end = _locate_zero(f, z, step, zn, event_comp, event_tol)
             rho = x + s
             _clip_small_negatives(z_end)
             xs.append(rho)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from pairing_reference import is_simple, projected_pairs
 
+from fdst import graphs
 from fdst.errors import AttemptsExhaustedError, InvalidInputError
 from fdst.graphs import (Pairing, graph_from_edges, is_connected, read_graph,
                          sample_pairing, sample_simple_pairing, sample_simple_regular,
@@ -72,16 +73,15 @@ def test_sample_simple_regular_is_rejection_over_sample_pairing():
         rejections = 0
         while not is_simple(pairs := projected_pairs(sample_pairing(12, 3, rng))):
             rejections += 1
-        assert g.rejections == rejections
+        assert sample_simple_pairing(12, 3, np.random.default_rng(seed))[1] == rejections
         assert g.adjacency == graph_from_edges(12, pairs, r=3).adjacency
 
 
 def test_sample_simple_regular_is_the_projection_of_sample_simple_pairing():
     for seed in range(20):
         g = sample_simple_regular(12, 3, np.random.default_rng(seed))
-        pairing, rejections = sample_simple_pairing(12, 3, np.random.default_rng(seed))
+        pairing, _ = sample_simple_pairing(12, 3, np.random.default_rng(seed))
         pairing.validate()
-        assert rejections == g.rejections
         assert is_simple(pairs := projected_pairs(pairing))
         assert graph_from_edges(12, pairs, r=3).adjacency == g.adjacency
 
@@ -144,26 +144,28 @@ def test_sample_simple_regular_k4():
     assert g.adjacency == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
-def test_sample_simple_regular_guards():
+def test_sample_simple_regular_guards(monkeypatch):
     with pytest.raises(InvalidInputError):
         sample_simple_regular(5, 3, np.random.default_rng(0))  # odd r*n
     with pytest.raises(InvalidInputError):
         sample_simple_regular(3, 3, np.random.default_rng(0))  # r > n-1
+    monkeypatch.setattr(graphs, "MAX_ATTEMPTS", 0)
     with pytest.raises(AttemptsExhaustedError):
-        sample_simple_regular(100, 3, np.random.default_rng(0), max_attempts=0)
+        sample_simple_regular(100, 3, np.random.default_rng(0))
 
 
 def test_sample_simple_regular_large_n_few_rejections():
     g = sample_simple_regular(100_000, 3, np.random.default_rng(11))
     g.validate()
-    assert g.rejections < 60
+    assert sample_simple_pairing(100_000, 3, np.random.default_rng(11))[1] < 60
 
 
 def test_sample_simple_regular_determinism():
     a = sample_simple_regular(50, 3, np.random.default_rng(9))
     b = sample_simple_regular(50, 3, np.random.default_rng(9))
     assert a.adjacency == b.adjacency
-    assert a.rejections == b.rejections
+    assert (sample_simple_pairing(50, 3, np.random.default_rng(9))[1]
+            == sample_simple_pairing(50, 3, np.random.default_rng(9))[1])
 
 
 def test_sampled_cubic_graphs_connected():

@@ -29,9 +29,9 @@ def tree_degrees(n, edges):
 
 def test_k4_always_one_full_vertex():
     k4 = named_graph("k4")
-    # built without r, K4 is a plain SimpleGraph: its degrees give r
+    # built without r, K4 still gets its r from its degrees
     bare = graph_from_edges(4, k4.edges())
-    assert not hasattr(bare, "r")
+    assert bare.r == 3
     for g in (k4, bare):
         for seed in range(50):
             res = run_on_graph(g, np.random.default_rng(seed))
@@ -133,34 +133,30 @@ def test_large_cubic_sample_hits_reference_fraction():
     assert res.phase1_full_degree_count <= res.full_degree_count
 
 
-# completion of the forest 0-1 on the path 0-1-2-3; nothing saturated
+# completion of the forest 0-1 (parent of 1 is 0) on the path 0-1-2-3;
+# nothing saturated
 PATH_EDGES = np.array([0, 1, 2]), np.array([1, 2, 3])
-PATH_FOREST = np.array([0]), np.array([1])
 UNSATURATED = np.zeros(4, dtype=bool)
 
 
 def test_completion_joins_the_labelled_components():
-    keys, connected = _complete(4, [0, 0, 2, 3], *PATH_FOREST, *PATH_EDGES, UNSATURATED)
+    keys, connected = _complete(4, [0, 0, 2, 3], *PATH_EDGES, UNSATURATED)
     assert keys.tolist() == [0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 3]
     assert connected
 
 
-def test_completion_rejects_a_label_count_other_than_n_minus_edges():
-    with pytest.raises(InvariantViolationError):
-        _complete(4, [0, 1, 2, 3], *PATH_FOREST, *PATH_EDGES, UNSATURATED)
-
-
-def test_completion_rejects_a_forest_edge_across_two_labels():
-    # three labels for one edge on four vertices, but the edge 0-1 crosses two
-    with pytest.raises(InvariantViolationError):
-        _complete(4, [0, 2, 2, 3], *PATH_FOREST, *PATH_EDGES, UNSATURATED)
+def test_completion_rejects_a_parent_cycle():
+    # a 2-cycle settles under pointer jumping, a 3-cycle never does
+    for parent in ([1, 0, 2, 3], [1, 2, 0, 3]):
+        with pytest.raises(InvariantViolationError):
+            _complete(4, parent, *PATH_EDGES, UNSATURATED)
 
 
 def test_completion_rejects_a_needed_edge_at_a_saturated_vertex():
     saturated = UNSATURATED.copy()
     saturated[1] = True  # the tree needs the edge 1-2
     with pytest.raises(InvariantViolationError):
-        _complete(4, [0, 0, 2, 3], *PATH_FOREST, *PATH_EDGES, saturated)
+        _complete(4, [0, 0, 2, 3], *PATH_EDGES, saturated)
 
 
 def test_graph_mode_takes_no_trajectory_samples(monkeypatch):

@@ -326,6 +326,8 @@ def test_cli_exact_usage_errors():
 
 CSV_HEADER = "x,z1,z2,z3,zL,zF,zM,phase\n"
 SOLUTION = CSV_HEADER + "0,0,0,1,0,0,3,1\n0.5,0,0,0.5,0.5,0.2,1.5,1\n"
+# SOLUTION's rows with x shifted by +5: no x in the solution's range
+SHIFTED_ROWS = "5,0,0,1,0,0,3,1\n5.5,0,0,0.5,0.5,0.2,1.5,1\n"
 
 
 @pytest.mark.parametrize("args, files", [
@@ -346,9 +348,13 @@ SOLUTION = CSV_HEADER + "0,0,0,1,0,0,3,1\n0.5,0,0,0.5,0.5,0.2,1.5,1\n"
      {"sol.csv": SOLUTION, "sim/trial_0000_trajectory.csv": CSV_HEADER + "0,0,0,1,0\n"}),
     (["simulate", "--r", "3", "--n", "10", "--trials", "2", "--jobs", "0"], {}),
     (["simulate", "--r", "3", "--n", "10", "--trials", "2", "--jobs", "-3"], {}),
+    (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
+     {"sol.csv": SOLUTION, "sim/trial_0000_trajectory.csv": CSV_HEADER + SHIFTED_ROWS}),
+    (["--config", "c.cfg", "simulate"], {"c.cfg": "trails = 5\n"}),
 ], ids=["edge-token", "header-token", "no-vertices", "missing-graph-file",
         "missing-key", "non-integer-value", "unknown-key", "repeated-key", "missing-csv",
-        "non-numeric-cell", "no-rows", "short-rows", "jobs-zero", "jobs-negative"])
+        "non-numeric-cell", "no-rows", "short-rows", "jobs-zero", "jobs-negative",
+        "no-x-overlap", "unknown-config-key"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
@@ -378,6 +384,20 @@ def test_cli_unknown_command_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("text, flag", [
+    ("r = 3.5\nn = 100\n", "--r"),
+    ("n = 1e3\n", "--n"),
+    ("jobs = 1.5\n", "--jobs"),
+], ids=["r", "n", "jobs"])
+def test_cli_config_values_take_the_flag_type(tmp_path, capsys, text, flag):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "simulate"])
+    assert err.value.code == 2
+    assert f"argument {flag}: invalid int value" in capsys.readouterr().err
 
 
 def test_cli_internal_invariant_violation_exits_3(monkeypatch):
