@@ -314,8 +314,12 @@ def main(argv=None):
     except (InvalidInputError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AttemptsExhaustedError as exc:
+        # a property of the requested (n, r), not a broken invariant
+        print(f"error: {exc}; use --mode lazy, which needs no simple graph", file=sys.stderr)
+        return 2
     except (InvariantViolationError, SingularityError, BlendDegenerateError,
-            EventNotFoundError, AttemptsExhaustedError) as exc:
+            EventNotFoundError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -3,13 +3,15 @@ numbers on small graphs, plus the extremal product constructions.
 
 Every search works on one view of the graph: per vertex, the bitmask of its
 neighbours. Two independent routes are kept for the full-degree number:
-exhaustive spanning-tree enumeration (deletion/contraction) and a
-branch-and-bound search over vertex sets whose star union is acyclic. They
-must agree wherever both run; that agreement is the primary anti-bug defense.
+a frontier DP over the edges that counts every spanning tree and scores
+them all, and a branch-and-bound search over vertex sets whose star union
+is acyclic. They must agree wherever both run; that agreement is the
+primary anti-bug defense. The DP's tree count is checked in turn against
+Kirchhoff's, an exact integer determinant.
 
-The enumeration keeps its state in edge bitmasks (remaining edges, and per
-super-vertex the edges leaving it) and scores the last contraction level in
-a batch. The star search keeps its forest as a list of component masks. The
+The DP merges partial forests that look alike on the frontier, the vertices
+with edges both decided and undecided, so it never lists a tree. The star
+search keeps its forest as a list of component masks. The
 minimum connected dominating set search lists connected vertex sets only,
 at sizes upward from the tree bound ceil((n-2)/(D-1)), below which no CDS
 exists.
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import InvalidInputError, InvariantViolationError, SizeGuardError
 from .graphs import graph_from_edges
 
-# largest n each search accepts; the enumeration cross-check also stops above
+# largest n each search accepts; the tree cross-check also stops above
 # TREE_COUNT_LIMIT spanning trees
 STAR_GUARD = 24
 CDS_GUARD = 20
@@ -45,8 +47,8 @@ class TreeExtrema:
 @dataclass
 class ExactResult:
     """Exact phi, lambda and gamma_C with witnesses. ``tree_count`` is the
-    number of spanning trees the enumeration cross-check listed, or None
-    when that check did not run."""
+    number of spanning trees the tree cross-check counted, or None when that
+    check did not run."""
 
     phi: int
     lam: int
@@ -65,10 +67,10 @@ def _neighbour_masks(g):
     return nbrs
 
 
-def _reach(nbrs, a, stop=0):
-    """The mask of vertices reachable from a; the search ends once it meets ``stop``."""
+def _reach(nbrs, a):
+    """The mask of vertices reachable from a."""
     reach = frontier = 1 << a
-    while frontier and not reach & stop:
+    while frontier:
         nxt = 0
         while frontier:
             bit = frontier & -frontier
@@ -79,120 +81,126 @@ def _reach(nbrs, a, stop=0):
     return reach
 
 
+def _frontier_edge_order(g):
+    """The edges in the order the frontier DP decides them.
+
+    For each start vertex, the edges are sorted by the BFS positions (neighbours
+    ascending) of their later and then their earlier end. The frontier after an
+    edge is the set of vertices with an edge decided and an edge undecided;
+    the start whose frontier sizes have the least (max, sum) wins, the smallest
+    start on a tie.
+    """
+    best = None
+    for s in range(g.n):
+        pos = {s: 0}
+        queue = [s]
+        for v in queue:
+            for w in sorted(g.adjacency[v]):
+                if w not in pos:
+                    pos[w] = len(pos)
+                    queue.append(w)
+        edges = sorted(g.edges(), key=lambda e: (max(pos[e[0]], pos[e[1]]),
+                                                  min(pos[e[0]], pos[e[1]])))
+        undecided = [g.degree(v) for v in range(g.n)]
+        size, sizes = 0, []
+        for a, b in edges:
+            for v in (a, b):  # v joins at its first edge and leaves at its last
+                size += (undecided[v] == g.degree(v)) - (undecided[v] == 1)
+                undecided[v] -= 1
+            sizes.append(size)
+        cost = (max(sizes), sum(sizes))
+        if best is None or cost < best[0]:
+            best = (cost, edges)
+    return best[1]
+
+
 def spanning_tree_extrema(g, max_vertices=16):
-    """Enumerate every spanning tree once, tracking full-degree and leaf maxima.
+    """Count the spanning trees and find the full-degree and leaf maxima.
 
-    Deletion/contraction over edge bitmasks, in the order of ``g.edges()``:
-    the lowest remaining edge is the pivot, and the branch that keeps it runs
-    before the branch that drops it, so each recursion leaf is a distinct tree.
+    A frontier DP over the edges: the deletion/contraction of Sekine, Imai &
+    Tani (ISAAC 1995), with the states merged on the frontier as in Kawahara,
+    Inoue, Iwashita & Minato (IEICE Trans. Fundamentals E100-A(9), 2017). The
+    edges are decided in ``_frontier_edge_order``, each taken or skipped. No
+    tree is listed and no determinant is taken, so the count is an independent
+    check of Kirchhoff's.
 
-    - ``R`` is the mask of remaining edges. Each super-vertex keeps the mask of
-      edges with exactly one end in it, so contracting B into A is
-      ``cut[A] ^ cut[B]``: the edges the two share cancel, and the loops the
-      contraction makes leave ``R`` with them.
-    - When two super-vertices remain, each edge left in ``R`` joins them into
-      one tree. That level is counted and scored in a batch, from per-vertex
-      gains indexed by the tree degree, instead of recursing.
-    - The drop branch runs only if the rest stays connected: always when the
-      pivot has a parallel copy, never when one of its super-vertices has no
-      other remaining edge, and otherwise when a bitmask search over the
-      original vertices, along every edge not dropped, reaches one end of the
-      pivot from the other.
-
-    This is backtracking listing in the sense of Read & Tarjan (Networks 5,
-    1975), with O(n) word operations per search node.
+    - A state's key is the sorted component masks of the frontier vertices,
+      then one int that packs three frontier masks: tree degree >= 1, tree
+      degree >= 2, and an edge at the vertex was skipped. Its value is (tree
+      count, best full count, its edge mask, best leaf count, its edge mask).
+    - Taking an edge merges the components of its ends, and is dropped when
+      both lie in one component (a cycle). Skipping it marks both ends.
+    - When a vertex's last edge is decided it leaves the frontier: it is full
+      when none of its edges was skipped, and a leaf when its tree degree is 1.
+      A component left empty is closed, which is allowed only when it is the
+      one component left; in a connected graph that is at the last edge.
+    - States with equal keys merge: counts add, and each maximum keeps the
+      larger value with its witness, the first one seen on a tie.
     """
     n = g.n
     if n > max_vertices:
-        raise SizeGuardError(f"tree enumeration guarded at n <= {max_vertices}, got {n}")
-    nbrs = _neighbour_masks(g)  # per vertex: its neighbours along edges not dropped
+        raise SizeGuardError(f"spanning-tree DP guarded at n <= {max_vertices}, got {n}")
+    _neighbour_masks(g)  # raises unless g is connected
     if n == 1:
         return TreeExtrema(1, 1, [], 0, [])
-    ends = g.edges()
-    # gains of one more tree edge at v, indexed by v's tree degree before it
-    full_gain = [[int(k + 1 == g.degree(v)) for k in range(g.degree(v))]
-                 for v in range(n)]
-    leaf_gain = [1, -1] + [0] * g.max_degree()
-    deg_t = [0] * n
-    cut = [0] * n       # per super-vertex: the edges with exactly one end in it
-    for i, (u, v) in enumerate(ends):
-        cut[u] |= 1 << i
-        cut[v] |= 1 << i
-    comp = list(range(n))               # the super-vertex holding each vertex
-    members = [[v] for v in range(n)]   # the vertices of each super-vertex
-    chosen = []
-    last = n - 2
-    count = 0
-    best_full = best_leaves = -1
-    best_full_tree = best_leaves_tree = None
+    edges = _frontier_edge_order(g)
+    last = {}
+    for i, (a, b) in enumerate(edges):
+        last[a] = last[b] = i
+    lo = 2 * n  # the shift of the skipped-edge mask in a packed int
+    states = {(0,): (1, 0, 0, 0, 0)}
+    for i, (a, b) in enumerate(edges):
+        A, B = 1 << a, 1 << b
+        ends = A | B
+        gone = (A if last[a] == i else 0) | (B if last[b] == i else 0)
+        keep = ~(gone | gone << n | gone << lo)
+        skipped = ends << lo
+        bit = 1 << i
+        nxt = {}
+        for key, (count, full, full_t, leaves, leaves_t) in states.items():
+            packed = key[-1]
+            rest = []
+            ca, cb = A, B  # an end new to the frontier is its own component
+            for c in key[:-1]:
+                if c & ends:
+                    if c & A:
+                        ca = c
+                    if c & B:
+                        cb = c
+                else:
+                    rest.append(c)
+            children = [([ca, cb] if ca != cb else [ca],
+                         packed | skipped, full_t, leaves_t)]
+            if ca != cb:
+                children.append(([ca | cb], packed | (packed & ends) << n | ends,
+                                 full_t | bit, leaves_t | bit))
+            for parts, p, ft, lt in children:
+                f, lv = full, leaves
+                if gone:
+                    parts = [c & ~gone for c in parts]
+                    if 0 in parts and (rest or len(parts) > 1):
+                        continue
+                    f += (gone & ~(p >> lo)).bit_count()
+                    lv += (gone & p & ~(p >> n)).bit_count()
+                    p &= keep
+                child = tuple(sorted(rest + [c for c in parts if c])) + (p,)
+                old = nxt.get(child)
+                if old is None:
+                    nxt[child] = (count, f, ft, lv, lt)
+                else:
+                    if f > old[1]:
+                        old = (old[0], f, ft, old[3], old[4])
+                    if lv > old[3]:
+                        old = old[:3] + (lv, lt)
+                    nxt[child] = (old[0] + count,) + old[1:]
+        states = nxt
+    count, full, full_t, leaves, leaves_t = states[(0,)]
 
-    def rec(R, full, leaves):
-        nonlocal count, best_full, best_leaves, best_full_tree, best_leaves_tree
-        if len(chosen) == last:
-            count += R.bit_count()
-            if full + 2 <= best_full and leaves + 2 <= best_leaves:
-                return
-            while R:
-                low = R & -R
-                R ^= low
-                a, b = ends[low.bit_length() - 1]
-                da, db = deg_t[a], deg_t[b]
-                f = full + full_gain[a][da] + full_gain[b][db]
-                if f > best_full:
-                    best_full = f
-                    best_full_tree = chosen + [(a, b)]
-                f = leaves + leaf_gain[da] + leaf_gain[db]
-                if f > best_leaves:
-                    best_leaves = f
-                    best_leaves_tree = chosen + [(a, b)]
-            return
-        low = R & -R
-        a, b = ends[low.bit_length() - 1]
-        A, B = comp[a], comp[b]
-        cut_a, cut_b = cut[A], cut[B]
-        between = cut_a & cut_b
-        # include the pivot: contract the smaller super-vertex into the larger
-        if len(members[A]) < len(members[B]):
-            A, B = B, A
-        kept = cut[A]
-        moved = members[B]
-        for v in moved:
-            comp[v] = A
-        members[A] += moved
-        cut[A] = cut_a ^ cut_b
-        da, db = deg_t[a], deg_t[b]
-        deg_t[a] = da + 1
-        deg_t[b] = db + 1
-        chosen.append((a, b))
-        rec(R & ~between, full + full_gain[a][da] + full_gain[b][db],
-            leaves + leaf_gain[da] + leaf_gain[db])
-        chosen.pop()
-        deg_t[a] = da
-        deg_t[b] = db
-        cut[A] = kept
-        del members[A][-len(moved):]
-        for v in moved:
-            comp[v] = B
-        # exclude the pivot: only if the rest stays connected
-        R ^= low
-        parallel = between & R
-        if not parallel and not (cut_a & R and cut_b & R):
-            return
-        nbrs[a] ^= 1 << b
-        nbrs[b] ^= 1 << a
-        if parallel or _reach(nbrs, a, 1 << b) >> b & 1:
-            rec(R, full, leaves)
-        nbrs[a] ^= 1 << b
-        nbrs[b] ^= 1 << a
+    def tree(mask):
+        return sorted(e for i, e in enumerate(edges) if mask >> i & 1)
 
-    rec((1 << len(ends)) - 1, 0, 0)
-    return TreeExtrema(
-        tree_count=count,
-        max_full=best_full,
-        max_full_tree=sorted(best_full_tree),
-        max_leaves=best_leaves,
-        max_leaves_tree=sorted(best_leaves_tree),
-    )
+    return TreeExtrema(tree_count=count, max_full=full, max_full_tree=tree(full_t),
+                       max_leaves=leaves, max_leaves_tree=tree(leaves_t))
 
 
 def phi_exact_trees(g):
@@ -352,22 +360,34 @@ def _tree_with_pendants(g, dominating):
 
 
 def kirchhoff_tree_count(g):
-    """Spanning-tree count via the matrix-tree determinant."""
-    lap = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
-    return round(float(np.linalg.det(lap[1:, 1:])))
+    """Spanning-tree count via the matrix-tree theorem, exact in integers.
+
+    The determinant of the Laplacian without vertex 0's row and column, by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every division
+    is exact. Each pivot is a leading principal minor, and the matrix is
+    positive semidefinite, so by Fischer's inequality a zero pivot makes the
+    determinant zero.
+    """
+    lap = [[g.degree(v) if v == w else -int(g.has_edge(v, w)) for w in range(1, g.n)]
+           for v in range(1, g.n)]
+    prev = 1
+    for k, row_k in enumerate(lap):
+        pivot = row_k[k]
+        if not pivot:
+            return 0
+        for row in lap[k + 1:]:
+            first = row[k]
+            for j in range(k + 1, len(lap)):
+                row[j] = (row[j] * pivot - first * row_k[j]) // prev
+        prev = pivot
+    return prev
 
 
 def exact_result(g):
     """Full ExactResult with cross-checked phi and lambda when the tree oracle is cheap.
 
-    The enumeration cross-check runs when n <= TREE_GUARD and the Kirchhoff
-    count is at most TREE_COUNT_LIMIT; enumerating a dense graph's millions
-    of trees adds nothing over the star search.
+    The tree cross-check runs when n <= TREE_GUARD and the Kirchhoff count
+    is at most TREE_COUNT_LIMIT; elsewhere ``tree_count`` is None.
     """
     phi_s, full_set = phi_exact_stars(g)
     lam, gamma, tree, cds = lambda_gamma_exact(g)
@@ -383,7 +403,7 @@ def exact_result(g):
                 f"CDS search says {lam}")
         if ext.tree_count != count:
             raise InvariantViolationError(
-                f"enumerated {ext.tree_count} trees, determinant says {count}")
+                f"counted {ext.tree_count} trees, determinant says {count}")
         tree_count = ext.tree_count
     return ExactResult(phi=phi_s, lam=lam, gamma_c=gamma,
                        witness_tree=tree, witness_cds=cds,

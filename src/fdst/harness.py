@@ -127,6 +127,8 @@ def simulate_trials(r, n, trials, seed, mode="lazy", sample_stride=None, jobs=No
         raise InvalidInputError(f"trials must be >= 0, got {trials}")
     if jobs is not None and jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
+    if mode == "graph" and sample_stride is not None:
+        raise InvalidInputError("sample_stride applies to lazy mode only")
     work = [(r, n, mode, k, seed, sample_stride) for k in range(trials)]
     # more workers than trials or cores would only add start-up cost
     jobs = max(1, min(trials if jobs is None else jobs, trials, os.cpu_count() or 1))

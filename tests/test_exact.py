@@ -1,15 +1,18 @@
-"""Exact oracles: tree enumeration vs star search, leaf/domination identities,
-degree-bound propositions, and the product constructions.
+"""Exact oracles: the spanning-tree DP vs star search, leaf/domination
+identities, degree-bound propositions, and the product constructions.
 
-Three references are kept here as earlier versions of the program's search
-code. ``reference_tree_extrema`` rebuilds the contracted edge list at every
-deletion/contraction node and runs a fresh depth-first search before each
-exclude branch; the program walks the same tree order on edge bitmasks.
-``reference_lambda_gamma`` tries every vertex subset of each size from the
-domination bound ceil(n/(D+1)) upward and searches each covering subset for
-connectivity; the program grows connected sets only, from the tree bound
-ceil((n-2)/(D-1)). ``reference_star_union_is_forest`` joins the stars edge
-by edge in a union-find; the program joins each star to component masks.
+Four references are kept here as earlier versions of the program's search
+code. ``reference_tree_extrema`` lists every spanning tree by
+deletion/contraction on a rebuilt edge list, with a fresh depth-first search
+before each exclude branch. ``listing_tree_extrema`` lists the same trees in
+the same order on edge bitmasks. The program counts and scores them with a
+frontier DP instead, so only the count and the two maxima are compared; the
+witness trees differ. ``reference_lambda_gamma`` tries every vertex subset
+of each size from the domination bound ceil(n/(D+1)) upward and searches
+each covering subset for connectivity; the program grows connected sets
+only, from the tree bound ceil((n-2)/(D-1)). ``reference_star_union_is_forest``
+joins the stars edge by edge in a union-find; the program joins each star to
+component masks.
 """
 from itertools import combinations
 
@@ -20,8 +23,9 @@ from hypothesis import strategies as st
 
 from fdst.catalog import cycle_graph, named_graph, prism_graph
 from fdst.errors import InvalidInputError, InvariantViolationError, SizeGuardError
-from fdst.exact import (TreeExtrema, _tree_with_pendants, check_propositions,
-                        construct_grid_torus, construct_prism_torus, exact_result,
+from fdst.exact import (TreeExtrema, _frontier_edge_order, _neighbour_masks,
+                        _tree_with_pendants, check_propositions, construct_grid_torus,
+                        construct_prism_torus, exact_result, kirchhoff_tree_count,
                         lambda_gamma_exact, phi_exact_stars, phi_exact_trees,
                         prism_torus_witness, spanning_tree_extrema,
                         star_union_is_forest)
@@ -119,6 +123,126 @@ def reference_tree_extrema(g):
                        sorted(state["best_leaves_tree"]))
 
 
+def listing_tree_extrema(g):
+    """The bitmask enumerator: deletion/contraction listing one tree at a time.
+
+    The lowest remaining edge is the pivot, and the branch that keeps it runs
+    before the branch that drops it. ``R`` is the mask of remaining edges;
+    each super-vertex keeps the mask of edges with exactly one end in it, so
+    a contraction is ``cut[A] ^ cut[B]``. When two super-vertices remain,
+    each edge left in ``R`` completes one tree, scored in a batch.
+    """
+    n = g.n
+    nbrs = _neighbour_masks(g)  # per vertex: its neighbours along edges not dropped
+    if n == 1:
+        return TreeExtrema(1, 1, [], 0, [])
+    ends = g.edges()
+    # gains of one more tree edge at v, indexed by v's tree degree before it
+    full_gain = [[int(k + 1 == g.degree(v)) for k in range(g.degree(v))]
+                 for v in range(n)]
+    leaf_gain = [1, -1] + [0] * g.max_degree()
+    deg_t = [0] * n
+    cut = [0] * n
+    for i, (u, v) in enumerate(ends):
+        cut[u] |= 1 << i
+        cut[v] |= 1 << i
+    comp = list(range(n))
+    members = [[v] for v in range(n)]
+    chosen = []
+    last = n - 2
+    best = {"count": 0, "full": -1, "full_tree": None, "leaves": -1, "leaves_tree": None}
+
+    def reaches(a, b):
+        reach = frontier = 1 << a
+        while frontier and not reach >> b & 1:
+            nxt = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                nxt |= nbrs[bit.bit_length() - 1]
+            frontier = nxt & ~reach
+            reach |= frontier
+        return reach >> b & 1
+
+    def rec(R, full, leaves):
+        if len(chosen) == last:
+            best["count"] += R.bit_count()
+            while R:
+                low = R & -R
+                R ^= low
+                a, b = ends[low.bit_length() - 1]
+                da, db = deg_t[a], deg_t[b]
+                f = full + full_gain[a][da] + full_gain[b][db]
+                if f > best["full"]:
+                    best["full"], best["full_tree"] = f, chosen + [(a, b)]
+                f = leaves + leaf_gain[da] + leaf_gain[db]
+                if f > best["leaves"]:
+                    best["leaves"], best["leaves_tree"] = f, chosen + [(a, b)]
+            return
+        low = R & -R
+        a, b = ends[low.bit_length() - 1]
+        A, B = comp[a], comp[b]
+        cut_a, cut_b = cut[A], cut[B]
+        between = cut_a & cut_b
+        if len(members[A]) < len(members[B]):
+            A, B = B, A
+        kept = cut[A]
+        moved = members[B]
+        for v in moved:
+            comp[v] = A
+        members[A] += moved
+        cut[A] = cut_a ^ cut_b
+        da, db = deg_t[a], deg_t[b]
+        deg_t[a] = da + 1
+        deg_t[b] = db + 1
+        chosen.append((a, b))
+        rec(R & ~between, full + full_gain[a][da] + full_gain[b][db],
+            leaves + leaf_gain[da] + leaf_gain[db])
+        chosen.pop()
+        deg_t[a] = da
+        deg_t[b] = db
+        cut[A] = kept
+        del members[A][-len(moved):]
+        for v in moved:
+            comp[v] = B
+        # drop the pivot only if the rest stays connected
+        R ^= low
+        parallel = between & R
+        if not parallel and not (cut_a & R and cut_b & R):
+            return
+        nbrs[a] ^= 1 << b
+        nbrs[b] ^= 1 << a
+        if parallel or reaches(a, b):
+            rec(R, full, leaves)
+        nbrs[a] ^= 1 << b
+        nbrs[b] ^= 1 << a
+
+    rec((1 << len(ends)) - 1, 0, 0)
+    return TreeExtrema(best["count"], best["full"], sorted(best["full_tree"]),
+                       best["leaves"], sorted(best["leaves_tree"]))
+
+
+def assert_witnesses_realise_maxima(g, ext):
+    """Each witness is n - 1 edges of g forming a spanning tree that realises its maximum."""
+    for tree, kind in ((ext.max_full_tree, "full"), (ext.max_leaves_tree, "leaves")):
+        assert len(tree) == g.n - 1
+        uf = UnionFind(g.n)
+        deg = [0] * g.n
+        for u, v in tree:
+            assert g.has_edge(u, v)
+            assert uf.union(u, v)
+            deg[u] += 1
+            deg[v] += 1
+        if kind == "full":
+            assert sum(deg[v] == g.degree(v) for v in range(g.n)) == ext.max_full
+        else:
+            assert deg.count(1) == ext.max_leaves
+
+
+def extrema(ext):
+    return ext.tree_count, ext.max_full, ext.max_leaves
+
+
 def reference_lambda_gamma(g):
     """The earlier CDS search, whose size loop starts at ceil(n/(D+1))."""
     n = g.n
@@ -192,8 +316,35 @@ def test_tree_enumeration_count_matches_kirchhoff(name, count):
                               (2, 3), (3, 4), (4, 5)]))
 def test_tree_enumeration_matches_reference(g):
     ext = spanning_tree_extrema(g)
-    assert ext == reference_tree_extrema(g)
+    assert extrema(ext) == extrema(reference_tree_extrema(g))
     assert ext.tree_count == kirchhoff_count(g)
+    assert_witnesses_realise_maxima(g, ext)
+
+
+@pytest.mark.parametrize("n,r,seeds", [(12, 3, (1, 2, 3)), (10, 4, (1, 2, 3)), (11, 4, (1,))])
+def test_tree_dp_matches_listing_on_exact_workload_classes(n, r, seeds):
+    # the classes whose trees ``fdst exact`` counts in its cross-check
+    for seed in seeds:
+        g = sample_simple_regular(n, r, np.random.default_rng(seed))
+        ext = spanning_tree_extrema(g)
+        assert extrema(ext) == extrema(listing_tree_extrema(g))
+        assert_witnesses_realise_maxima(g, ext)
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs(1, 9, max_extra=14), st.data())
+def test_tree_dp_is_invariant_under_relabelling(g, data):
+    # the edge order depends on the labels; the count and the maxima must not
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = graph_from_edges(g.n, sorted(
+        (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges()))
+    assert extrema(spanning_tree_extrema(relabelled)) == extrema(spanning_tree_extrema(g))
+
+
+def test_tree_dp_edge_order_starts_where_the_frontier_is_narrowest():
+    # a path with 0 in its middle: BFS from the end 3 keeps one frontier vertex
+    path = graph_from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
+    assert _frontier_edge_order(path) == [(1, 3), (0, 1), (0, 2), (2, 4)]
 
 
 def test_tree_enumeration_on_one_and_two_vertices():
@@ -330,9 +481,39 @@ def test_k4_proposition_numbers():
     res = exact_result(g)
     assert (res.phi, res.lam, res.gamma_c) == (1, 3, 1)
     report = check_propositions(g, res)
-    assert report["phi_lower"]["passed"] and 4 / 7 <= res.phi
+    # phi >= n/(D(D-1)+1) = 4/7
+    assert report["phi_lower"]["passed"]
+    assert report["phi_lower"]["value"] == 1
+    assert report["phi_lower"]["slack"] == pytest.approx(1 - 4 / 7)
     assert report["phi_upper"]["passed"] and res.phi <= 1.0
     assert report["cubic_leaf_identity"]["passed"]
+
+
+def test_k5_proposition_numbers():
+    g = named_graph("k5")
+    res = exact_result(g)
+    assert (res.phi, res.lam, res.gamma_c) == (1, 4, 1)
+    report = check_propositions(g, res)
+    # phi >= n/(D(D-1)+1) = 5/13
+    assert report["phi_lower"]["value"] == 1
+    assert report["phi_lower"]["slack"] == pytest.approx(1 - 5 / 13)
+    # lambda >= (r-2)*phi + 2 = 4 holds with equality at r = 4
+    assert report["leaf_lower_bound"]["passed"]
+    assert report["leaf_lower_bound"]["value"] == 4
+    assert report["leaf_lower_bound"]["slack"] == 0
+
+
+@pytest.mark.parametrize("n", [12, 14, 16, 18])
+def test_kirchhoff_count_is_exact_on_complete_graphs(n):
+    # Cayley: n^(n-2); a float determinant is already off at n = 16
+    g = graph_from_edges(n, list(combinations(range(n), 2)))
+    assert kirchhoff_tree_count(g) == n ** (n - 2)
+
+
+def test_kirchhoff_count_is_zero_when_disconnected():
+    two_triangles = graph_from_edges(
+        6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    assert kirchhoff_tree_count(two_triangles) == 0
 
 
 def test_size_guards():

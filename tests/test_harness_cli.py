@@ -295,7 +295,7 @@ def test_cli_exact_named_and_file(tmp_path):
 
 
 def test_cli_exact_on_16_vertex_graph(tmp_path):
-    # above the tree-enumeration guard: phi comes from the star search alone
+    # above the tree cross-check's guard: phi comes from the star search alone
     rc = main(["exact", "--graph", "moebius-kantor", "--out", str(tmp_path)])
     assert rc == 0
     payload = read_json_without_timestamp(tmp_path / "exact_moebius_kantor.json")
@@ -351,10 +351,15 @@ SHIFTED_ROWS = "5,0,0,1,0,0,3,1\n5.5,0,0,0.5,0.5,0.2,1.5,1\n"
     (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
      {"sol.csv": SOLUTION, "sim/trial_0000_trajectory.csv": CSV_HEADER + SHIFTED_ROWS}),
     (["--config", "c.cfg", "simulate"], {"c.cfg": "trails = 5\n"}),
+    (["simulate", "--mode", "graph", "--r", "8", "--n", "12", "--trials", "1",
+      "--jobs", "1"], {}),
+    (["simulate", "--mode", "graph", "--r", "3", "--n", "20", "--trials", "1",
+      "--jobs", "1", "--sample-stride", "5"], {}),
 ], ids=["edge-token", "header-token", "no-vertices", "missing-graph-file",
         "missing-key", "non-integer-value", "unknown-key", "repeated-key", "missing-csv",
         "non-numeric-cell", "no-rows", "short-rows", "jobs-zero", "jobs-negative",
-        "no-x-overlap", "unknown-config-key"])
+        "no-x-overlap", "unknown-config-key", "graph-sampler-exhausted",
+        "graph-sample-stride"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
@@ -364,6 +369,16 @@ def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files)
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "UserWarning" not in err
+
+
+def test_cli_exhausted_sampler_names_lazy_mode(tmp_path, monkeypatch, capsys):
+    # running out of attempts is a property of (n, r), so a usage error
+    import fdst.graphs as graphs
+
+    monkeypatch.setattr(graphs, "MAX_ATTEMPTS", 0)
+    assert main(["simulate", "--mode", "graph", "--r", "3", "--n", "10", "--trials", "1",
+                 "--jobs", "1", "--out", str(tmp_path)]) == 2
+    assert "--mode lazy" in capsys.readouterr().err
 
 
 def test_cli_graph_file_edge_count_checked_before_building(tmp_path, monkeypatch, capsys):
