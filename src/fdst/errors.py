@@ -6,7 +6,7 @@ class InvalidInputError(ValueError):
 
 
 class SizeGuardError(ValueError):
-    """An exact oracle was asked to run above its enumeration size guard."""
+    """An exact oracle was asked to run above its search's size guard."""
 
 
 class AttemptsExhaustedError(RuntimeError):

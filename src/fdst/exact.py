@@ -10,11 +10,13 @@ primary anti-bug defense. The DP's tree count is checked in turn against
 Kirchhoff's, an exact integer determinant.
 
 The DP merges partial forests that look alike on the frontier, the vertices
-with edges both decided and undecided, so it never lists a tree. The star
-search keeps its forest as a list of component masks. The
-minimum connected dominating set search lists connected vertex sets only,
-at sizes upward from the tree bound ceil((n-2)/(D-1)), below which no CDS
-exists.
+with edges both decided and undecided, so it never lists a tree. Its table
+has two levels, the frontier's component partition and then the packed
+degree and skipped-edge bits, so the component work runs once per partition
+and each state costs only int arithmetic. The star search keeps its forest
+as a list of component masks. The minimum connected dominating set search
+lists connected vertex sets only, at sizes upward from the tree bound
+ceil((n-2)/(D-1)), below which no CDS exists.
 """
 from __future__ import annotations
 
@@ -124,16 +126,21 @@ def spanning_tree_extrema(g, max_vertices=16):
     tree is listed and no determinant is taken, so the count is an independent
     check of Kirchhoff's.
 
-    - A state's key is the sorted component masks of the frontier vertices,
-      then one int that packs three frontier masks: tree degree >= 1, tree
-      degree >= 2, and an edge at the vertex was skipped. Its value is (tree
-      count, best full count, its edge mask, best leaf count, its edge mask).
+    - The table has two levels. Its outer key, the partition, is the sorted
+      component masks of the frontier vertices. Its inner key is one int that
+      packs three frontier masks: tree degree >= 1, tree degree >= 2, and an
+      edge at the vertex was skipped. Its value is (tree count, best full
+      count, its edge mask, best leaf count, its edge mask).
     - Taking an edge merges the components of its ends, and is dropped when
       both lie in one component (a cycle). Skipping it marks both ends.
     - When a vertex's last edge is decided it leaves the frontier: it is full
       when none of its edges was skipped, and a leaf when its tree degree is 1.
       A component left empty is closed, which is allowed only when it is the
       one component left; in a connected graph that is at the last edge.
+    - The component work depends on the partition alone, so each move's child
+      partition, or its drop, is found once per partition. Every state of the
+      partition is then folded into the child's inner table with int
+      arithmetic only.
     - States with equal keys merge: counts add, and each maximum keeps the
       larger value with its witness, the first one seen on a tie.
     """
@@ -148,20 +155,17 @@ def spanning_tree_extrema(g, max_vertices=16):
     for i, (a, b) in enumerate(edges):
         last[a] = last[b] = i
     lo = 2 * n  # the shift of the skipped-edge mask in a packed int
-    states = {(0,): (1, 0, 0, 0, 0)}
+    table = {(): {0: (1, 0, 0, 0, 0)}}
     for i, (a, b) in enumerate(edges):
         A, B = 1 << a, 1 << b
         ends = A | B
         gone = (A if last[a] == i else 0) | (B if last[b] == i else 0)
         keep = ~(gone | gone << n | gone << lo)
-        skipped = ends << lo
-        bit = 1 << i
         nxt = {}
-        for key, (count, full, full_t, leaves, leaves_t) in states.items():
-            packed = key[-1]
+        for partition, states in table.items():
             rest = []
             ca, cb = A, B  # an end new to the frontier is its own component
-            for c in key[:-1]:
+            for c in partition:
                 if c & ends:
                     if c & A:
                         ca = c
@@ -169,32 +173,35 @@ def spanning_tree_extrema(g, max_vertices=16):
                         cb = c
                 else:
                     rest.append(c)
-            children = [([ca, cb] if ca != cb else [ca],
-                         packed | skipped, full_t, leaves_t)]
+            # a move is (its parts, the ends whose degree rises, the bits it
+            # sets, its edge bit); the skip sets the skipped bits of both ends
+            moves = [([ca, cb] if ca != cb else [ca], 0, ends << lo, 0)]
             if ca != cb:
-                children.append(([ca | cb], packed | (packed & ends) << n | ends,
-                                 full_t | bit, leaves_t | bit))
-            for parts, p, ft, lt in children:
-                f, lv = full, leaves
+                moves.append(([ca | cb], ends, ends, 1 << i))
+            for parts, up, add, bit in moves:
                 if gone:
                     parts = [c & ~gone for c in parts]
                     if 0 in parts and (rest or len(parts) > 1):
                         continue
-                    f += (gone & ~(p >> lo)).bit_count()
-                    lv += (gone & p & ~(p >> n)).bit_count()
-                    p &= keep
-                child = tuple(sorted(rest + [c for c in parts if c])) + (p,)
-                old = nxt.get(child)
-                if old is None:
-                    nxt[child] = (count, f, ft, lv, lt)
-                else:
-                    if f > old[1]:
-                        old = (old[0], f, ft, old[3], old[4])
-                    if lv > old[3]:
-                        old = old[:3] + (lv, lt)
-                    nxt[child] = (old[0] + count,) + old[1:]
-        states = nxt
-    count, full, full_t, leaves, leaves_t = states[(0,)]
+                child = nxt.setdefault(tuple(sorted(rest + [c for c in parts if c])), {})
+                for packed, (count, f, ft, lv, lt) in states.items():
+                    p = packed | (packed & up) << n | add
+                    if gone:
+                        f += (gone & ~(p >> lo)).bit_count()
+                        lv += (gone & p & ~(p >> n)).bit_count()
+                        p &= keep
+                    ft |= bit
+                    lt |= bit
+                    old = child.get(p)
+                    if old is not None:
+                        count += old[0]
+                        if f <= old[1]:
+                            f, ft = old[1], old[2]
+                        if lv <= old[3]:
+                            lv, lt = old[3], old[4]
+                    child[p] = (count, f, ft, lv, lt)
+        table = nxt
+    count, full, full_t, leaves, leaves_t = table[()][0]
 
     def tree(mask):
         return sorted(e for i, e in enumerate(edges) if mask >> i & 1)

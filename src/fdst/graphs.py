@@ -31,16 +31,6 @@ class Pairing:
     def num_points(self):
         return self.n * self.r
 
-    def validate(self):
-        m = self.num_points()
-        pts = np.arange(m)
-        if len(self.matches) != m:
-            raise InvalidInputError("matches has wrong length")
-        if np.any(self.matches == pts):
-            raise InvalidInputError("pairing has a fixed point")
-        if not np.array_equal(self.matches[self.matches], pts):
-            raise InvalidInputError("matches is not an involution")
-
     def _pair_points(self):
         """Arrays p, q of the matched pairs (p, q), p < q, in increasing order of p."""
         p = np.flatnonzero(np.arange(self.num_points()) < self.matches)

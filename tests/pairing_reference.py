@@ -1,5 +1,20 @@
-"""Set-based projection of a pairing: an independent reference for the array sampler."""
+"""Set-based projection of a pairing, an independent reference for the array
+sampler, and the pairing's own validity check, which only tests call."""
 import numpy as np
+
+from fdst.errors import InvalidInputError
+
+
+def validate_pairing(pairing):
+    """Raise unless ``matches`` has r*n entries and is a fixed-point-free involution."""
+    m = pairing.num_points()
+    pts = np.arange(m)
+    if len(pairing.matches) != m:
+        raise InvalidInputError("matches has wrong length")
+    if np.any(pairing.matches == pts):
+        raise InvalidInputError("pairing has a fixed point")
+    if not np.array_equal(pairing.matches[pairing.matches], pts):
+        raise InvalidInputError("matches is not an involution")
 
 
 def projected_pairs(pairing):

@@ -331,6 +331,18 @@ def test_tree_dp_matches_listing_on_exact_workload_classes(n, r, seeds):
         assert_witnesses_realise_maxima(g, ext)
 
 
+@pytest.mark.parametrize("n,r", [(14, 3), (16, 3), (18, 3), (20, 3), (12, 4), (14, 4)])
+def test_tree_dp_beyond_the_cross_check_guard(n, r):
+    # ``exact_result`` runs the DP only up to TREE_GUARD; the DP itself must
+    # agree with the determinant and both searches on larger graphs too
+    g = sample_simple_regular(n, r, np.random.default_rng(1))
+    ext = spanning_tree_extrema(g, max_vertices=20)
+    assert ext.tree_count == kirchhoff_tree_count(g)
+    assert ext.max_full == phi_exact_stars(g)[0]
+    assert ext.max_leaves == lambda_gamma_exact(g)[0]
+    assert_witnesses_realise_maxima(g, ext)
+
+
 @settings(max_examples=50, deadline=None)
 @given(connected_graphs(1, 9, max_extra=14), st.data())
 def test_tree_dp_is_invariant_under_relabelling(g, data):

@@ -1,13 +1,14 @@
 """Configuration-model sampling, projection, simplicity, and graph io.
 
 Projection and simplicity are checked against the set-based reference in
-``pairing_reference``, which the program does not use.
+``pairing_reference``, which the program does not use; so is a pairing's
+validity.
 """
 from collections import Counter
 
 import numpy as np
 import pytest
-from pairing_reference import is_simple, projected_pairs
+from pairing_reference import is_simple, projected_pairs, validate_pairing
 
 from fdst import graphs
 from fdst.errors import AttemptsExhaustedError, InvalidInputError
@@ -20,13 +21,13 @@ def test_pairing_counts_n2_r3(rng):
     p = sample_pairing(2, 3, rng)
     assert len(p.matches) == 6
     assert np.count_nonzero(np.arange(6) < p.matches) == 3  # one p < q per pair
-    p.validate()
+    validate_pairing(p)
 
 
 def test_pairing_is_fixed_point_free_involution():
     for seed in range(25):
         p = sample_pairing(6, 3, np.random.default_rng(seed))
-        p.validate()
+        validate_pairing(p)
 
 
 def test_pairing_determinism():
@@ -81,7 +82,7 @@ def test_sample_simple_regular_is_the_projection_of_sample_simple_pairing():
     for seed in range(20):
         g = sample_simple_regular(12, 3, np.random.default_rng(seed))
         pairing, _ = sample_simple_pairing(12, 3, np.random.default_rng(seed))
-        pairing.validate()
+        validate_pairing(pairing)
         assert is_simple(pairs := projected_pairs(pairing))
         assert graph_from_edges(12, pairs, r=3).adjacency == g.adjacency
 
@@ -121,7 +122,7 @@ def test_is_simple_k4_realization():
     # explicit pairing whose projection is K_4: buckets {0,1,2},{3,4,5},{6,7,8},{9,10,11}
     matches = np.array([3, 6, 9, 0, 7, 10, 1, 4, 11, 2, 5, 8])
     p = Pairing(n=4, r=3, matches=matches)
-    p.validate()
+    validate_pairing(p)
     pairs = projected_pairs(p)
     assert is_simple(pairs)
     assert sorted(pairs) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

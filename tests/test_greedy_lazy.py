@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from pairing_reference import projected_pairs
+from pairing_reference import projected_pairs, validate_pairing
 
 from fdst.errors import InvalidInputError
 from fdst.graphs import sample_pairing
@@ -215,7 +215,7 @@ def test_law_matches_on_demand_reveals():
 def test_result_tree_is_spanning_forest_of_multigraph():
     for seed in range(30):
         res, _ = run_lazy(20, 3, np.random.default_rng(seed))
-        res.pairing.validate()
+        validate_pairing(res.pairing)
         simple_edges = {e for e in projected_pairs(res.pairing) if e[0] != e[1]}
         uf = UnionFind(res.n)
         for u, v in res.tree:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from pairing_reference import projected_pairs
+from pairing_reference import projected_pairs, validate_pairing
 
 from fdst.errors import InvariantViolationError
 from fdst.graphs import (graph_from_edges, is_connected, sample_pairing,
@@ -177,7 +177,7 @@ def test_lazy_mode_invariants(r, n, seed):
     n += (n * r) % 2
     res, _ = run_lazy(n, r, np.random.default_rng(seed), sample_stride=1,
                       invariant_checks=True)  # audits every step
-    res.pairing.validate()
+    validate_pairing(res.pairing)
     deg = [0] * n
     for u, v in res.tree:
         deg[u] += 1
