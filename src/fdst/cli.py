@@ -7,6 +7,7 @@ optional key=value config file (--config).
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import os
 import sys
@@ -301,14 +302,23 @@ def _build_parser(config):
     return parser
 
 
+# a build costs some 30 parses, and in-process callers (tests, benchmarks,
+# scripts) call main many times with one config; errors are not cached
+@functools.lru_cache
+def _parser_for(config_items):
+    return _build_parser(dict(config_items))
+
+
+_PRE_PARSER = argparse.ArgumentParser(add_help=False)
+_PRE_PARSER.add_argument("--config", default=None)
+
+
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
+    known, _ = _PRE_PARSER.parse_known_args(argv)
     try:
         config = _read_config(known.config) if known.config else {}
-        parser = _build_parser(config)
+        parser = _parser_for(tuple(sorted(config.items())))
         args = parser.parse_args(argv)
         return args.func(args)
     except (InvalidInputError, SizeGuardError) as exc:

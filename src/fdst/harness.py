@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -141,6 +140,7 @@ def simulate_trials(r, n, trials, seed, mode="lazy", sample_stride=None, jobs=No
     else:
         # a few chunks per worker: fewer round trips, still an even load
         chunksize = -(-trials // (4 * jobs))
+        from concurrent.futures import ProcessPoolExecutor  # only this branch pays its import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for trial, record, traj in pool.map(_run_trial, work, chunksize=chunksize):
                 out[trial] = record

@@ -204,10 +204,12 @@ def _integrate_phase(f, z0, x0, step, event_comp, event_tol, phase):
     for _ in range(cap):
         try:
             zn = _rk4_step(f, z, step)
-        except SingularityError as exc:
+        except (SingularityError, OverflowError) as exc:
+            # a step too coarse for the drift can overflow before z_M reaches its floor
+            what = ("hit the z_M floor" if isinstance(exc, SingularityError)
+                    else "the drift overflowed")
             raise EventNotFoundError(
-                f"phase {phase}: hit the z_M floor at x={x:.6f} "
-                f"before the event fired") from exc
+                f"phase {phase}: {what} at x={x:.6f} before the event fired") from exc
         except BlendDegenerateError as exc:
             if exc.x is None:
                 exc.x = x

@@ -87,7 +87,7 @@ def test_simulate_trials_caps_jobs(monkeypatch):
             assert chunksize >= 1
             return map(fn, work)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     for jobs, trials in ((64, 3), (64, 9), (None, 9), (2, 9)):
         records, _ = harness.simulate_trials(3, 20, trials, seed=1, jobs=jobs)
@@ -424,6 +424,59 @@ def test_cli_internal_invariant_violation_exits_3(monkeypatch):
 
     monkeypatch.setattr(cli, "integrate_two_phase", boom)
     assert cli.main(["integrate", "--r", "3"]) == 3
+
+
+def test_cli_too_coarse_step_is_an_internal_error_not_a_traceback(capsys):
+    # at r=10 a step of 0.2 overflows the drift before z_M reaches its floor
+    assert main(["integrate", "--r", "10", "--step", "0.2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" not in err
+
+
+def test_cli_parser_is_built_once_per_config(tmp_path, monkeypatch):
+    import fdst.cli as cli
+
+    build = cli._build_parser
+    built = []
+
+    def counting(config):
+        built.append(config)
+        return build(config)
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    cli._parser_for.cache_clear()
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("r = 4\n")
+    for _ in range(3):
+        assert main(["--config", str(cfg), "integrate", "--step", "1e-2"]) == 0
+    assert len(built) == 1
+    cfg_b = tmp_path / "b.cfg"
+    cfg_b.write_text("r = 5\n")
+    assert main(["--config", str(cfg_b), "integrate", "--step", "1e-2"]) == 0
+    assert len(built) == 2
+
+
+def test_cli_cached_parsers_keep_configs_apart(tmp_path):
+    # one config's defaults never reach a call with another config or none
+    for r in (4, 5):
+        (tmp_path / f"r{r}.cfg").write_text(f"r = {r}\nstep = 1e-2\n")
+    runs = [(["--config", str(tmp_path / "r4.cfg")], "a", "result_r4.json"),
+            (["--config", str(tmp_path / "r5.cfg")], "b", "result_r5.json"),
+            ([], "c", "result_r3.json"),
+            (["--config", str(tmp_path / "r4.cfg")], "d", "result_r4.json")]
+    for prefix, out, name in runs:
+        assert main(prefix + ["integrate", "--out", str(tmp_path / out)]) == 0
+        assert [p.name for p in (tmp_path / out).glob("*.json")] == [name]
+    # the file is read again on every call, so an edit takes effect
+    (tmp_path / "r4.cfg").write_text("r = 6\nstep = 1e-2\n")
+    assert main(["--config", str(tmp_path / "r4.cfg"), "integrate",
+                 "--out", str(tmp_path / "e")]) == 0
+    assert (tmp_path / "e" / "result_r6.json").exists()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("trails = 5\n")
+    for _ in range(2):
+        assert main(["--config", str(bad), "integrate"]) == 2
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
