@@ -31,10 +31,13 @@ class Pairing:
     def num_points(self):
         return self.n * self.r
 
-    def _pair_points(self):
-        """Arrays p, q of the matched pairs (p, q), p < q, in increasing order of p."""
-        p = np.flatnonzero(np.arange(self.num_points()) < self.matches)
-        return p, self.matches[p]
+    def vertex_pairs(self):
+        """Vertices u[i], v[i] of the matched pairs (p, q), p < q, in increasing order of p."""
+        u = np.flatnonzero(np.arange(self.num_points()) < self.matches)
+        v = self.matches[u]
+        u //= self.r
+        v //= self.r
+        return u, v
 
 
 @dataclass
@@ -157,8 +160,8 @@ def sample_simple_pairing(n, r, rng):
 def sample_simple_regular(n, r, rng):
     """Uniform simple r-regular graph: the projection of ``sample_simple_pairing``."""
     pairing, _ = sample_simple_pairing(n, r, rng)
-    p, q = pairing._pair_points()
-    return graph_from_edges(n, zip((p // r).tolist(), (q // r).tolist()), r=r)
+    u, v = pairing.vertex_pairs()
+    return graph_from_edges(n, zip(u.tolist(), v.tolist()), r=r)
 
 
 def is_connected(g):

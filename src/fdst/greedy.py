@@ -99,6 +99,8 @@ class SpanningTreeResult:
     phase1_full_degree_count: int
     rho1_empirical: float | None
     full_vertices: np.ndarray
+    greedy_steps: int  # processed vertices, the start vertex included
+    greedy_components: int  # the forest's components before completion
     connected: bool = True
     steps: list | None = None
     pairing: object = None  # lazy mode: the uniform Pairing drawn before the run
@@ -111,8 +113,8 @@ def _int64s(values):
     return out
 
 
-def _complete(n, parent, u, v, saturated):
-    """Join the components of a forest with the vertex pairs (u[i], v[i]).
+def _complete(n, parent, pairs, saturated):
+    """Join the components of a forest with the vertex pairs (u[i], v[i]) of ``pairs()``.
 
     The forest is ``parent``: a root is its own parent, and every other x
     has the forest edge (x, parent[x]). Each vertex's component is named by
@@ -124,10 +126,18 @@ def _complete(n, parent, u, v, saturated):
     smallest first, with a union-find over the components, and keeps a pair
     when it joins two components, so a repeated pair is kept at most once; a
     kept edge may not touch a saturated vertex. Returns the sorted keys
-    u*n + v (u < v) of the tree's edges and whether they span all n vertices.
+    u*n + v (u < v) of the tree's edges and the forest's component count;
+    the keys span all n vertices when there are n - 1 of them.
+
+    Memory: an int64 buffer ``parent`` (the greedy's array('q')) is read in
+    place and labels are int32 below n = 2**31. ``pairs`` is called once the
+    labels are known, so the pair arrays live only through the cross filter;
+    the labels, component index and root mask are freed before the forest
+    keys are built in place.
     """
     parent = np.asarray(parent, dtype=np.int64)
-    labels, up = parent.copy(), np.empty(n, dtype=np.int64)
+    labels = parent.astype(np.int32 if n < 2**31 else np.int64)
+    up = np.empty_like(labels)
     for _ in range(n.bit_length() + 1):
         np.take(labels, labels, out=up)
         if np.array_equal(up, labels):
@@ -135,29 +145,34 @@ def _complete(n, parent, u, v, saturated):
         labels, up = up, labels
     if not np.array_equal(np.take(parent, labels, out=up), labels):
         raise InvariantViolationError("the forest's parent pointers have a cycle")
-    del up  # freed before the cross filter, which sets completion's memory peak
-    root = parent == np.arange(n)
-    forest_u = np.flatnonzero(~root)
-    forest_v = parent[forest_u]
-    components = n - len(forest_u)
+    del up
+    u, v = pairs()
     cross = labels[u] != labels[v]
     u, v = u[cross], v[cross]
     cross_keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    del cross, u, v
     lo, hi = np.divmod(cross_keys, n)
+    root = parent == np.arange(n)
+    forest_u = np.flatnonzero(~root)
+    components = n - len(forest_u)
     dense = np.cumsum(root) - 1  # root -> component index 0..components-1
     union = UnionFind(components).union
     kept = [i for i, (a, b) in enumerate(zip(dense[labels[lo]].tolist(),
                                              dense[labels[hi]].tolist()))
             if union(a, b)]
+    del labels, dense, root
     lo, hi = lo[kept], hi[kept]
     bad = np.flatnonzero(saturated[lo] | saturated[hi])
     if len(bad):
         raise InvariantViolationError(
             f"completion tried to add ({lo[bad[0]]}, {hi[bad[0]]}) at a full-degree vertex")
-    keys = np.concatenate((np.minimum(forest_u, forest_v) * n + np.maximum(forest_u, forest_v),
-                           cross_keys[kept]))
+    forest_v = parent[forest_u]
+    keys = np.minimum(forest_u, forest_v)
+    keys *= n
+    keys += np.maximum(forest_u, forest_v)
+    keys = np.concatenate((keys, cross_keys[kept]))
     keys.sort()
-    return keys, components - len(kept) == 1
+    return keys, components
 
 
 class _State:
@@ -169,6 +184,10 @@ class _State:
     index in its pool. The forest is ``parent``: a root is its own parent and
     any other forest vertex has the vertex whose step joined it; a vertex
     outside the forest is a root. Completion finds the components from it.
+
+    The state is the greedy's scratch: `_run` keeps only ``parent``, ``full``
+    and ``full_count`` and frees the rest, pools and ``pos`` included, before
+    completion. The greedy reads the pairing's own ``matches``, not a copy.
     """
 
     def __init__(self, n, r):
@@ -184,7 +203,7 @@ class _State:
         self.count_z[r] = n
         self.full_count = 0
         self.leaves = []
-        self.fresh = list(range(n))
+        self.fresh = _int64s(np.arange(n))
         self.pos = _int64s(np.arange(n))
 
     def sample(self, t, phase):
@@ -246,9 +265,9 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
 
     Point q's partner is fixed[q]; every pool pop, the start vertex's
     included, reads one `_uniforms` stream. The state is sampled every
-    ``sample_stride`` steps, or never when it is None. Returns (steps or
-    None, trajectory samples or None, first fresh step or None, full count at
-    the end of phase 1).
+    ``sample_stride`` steps, or never when it is None. Returns (number of
+    steps, steps or None, trajectory samples or None, first fresh step or
+    None, full count at the end of phase 1).
     """
     n, r = s.n, s.r
     revealed, unrevealed, in_forest, full = s.revealed, s.unrevealed, s.in_forest, s.full
@@ -350,7 +369,7 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
     s.unrevealed_points, s.full_count = unrevealed_points, full_count
     if samples is not None and t != next_sample - sample_stride:
         samples.append(s.sample(t, phase))
-    return steps, samples, first_fresh_step, full_at_phase1_end
+    return t + 1, steps, samples, first_fresh_step, full_at_phase1_end
 
 
 def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
@@ -360,12 +379,13 @@ def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
     """
     n, r = pairing.n, pairing.r
     s = _State(n, r)
-    steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
-        s, rng, _int64s(pairing.matches), sample_stride, record_steps, invariant_checks)
-    full = np.frombuffer(s.full, dtype=np.bool_)
-    p, q = pairing._pair_points()
-    keys, connected = _complete(n, s.parent, p // r, q // r, full)
-    tree = np.column_stack(np.divmod(keys, n))
+    greedy_steps, steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
+        s, rng, memoryview(pairing.matches), sample_stride, record_steps, invariant_checks)
+    parent, full, full_count = s.parent, np.frombuffer(s.full, dtype=np.bool_), s.full_count
+    del s  # the greedy's scratch, freed before completion
+    keys, components = _complete(n, parent, pairing.vertex_pairs, full)
+    tree = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(tree[:, 0], tree[:, 1]))
     deg = np.bincount(tree.ravel(), minlength=n)
     bad = np.flatnonzero(full & (deg != r))
     if len(bad):
@@ -373,13 +393,15 @@ def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
             f"full-degree vertex {bad[0]} has tree degree {deg[bad[0]]}")
     result = SpanningTreeResult(
         n=n, r=r, tree=tree,
-        full_degree_count=s.full_count,
+        full_degree_count=full_count,
         leaf_count=int(np.count_nonzero(deg == 1)),
         phase1_full_degree_count=(full_at_phase1_end
-                                  if full_at_phase1_end is not None else s.full_count),
+                                  if full_at_phase1_end is not None else full_count),
         rho1_empirical=(first_fresh_step / n if first_fresh_step is not None else None),
         full_vertices=np.flatnonzero(full),
-        connected=connected,
+        greedy_steps=greedy_steps,
+        greedy_components=components,
+        connected=len(tree) == n - 1,
         steps=steps,
     )
     return result, samples

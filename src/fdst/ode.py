@@ -29,6 +29,9 @@ NEGATIVE_CLIP = 1e-12
 # below the paper's four-decimal tolerances; truncation error first shows at
 # 2e-3. test_default_step_error_budget holds the default to this budget.
 DEFAULT_STEP = 1e-3
+# The finest step of that budget. A phase marches up to 2/step steps and keeps
+# every row, so a finer step costs time and memory for no accuracy it can show.
+MIN_STEP = 2.5e-6
 DEFAULT_EVENT_TOL = 1e-10
 
 
@@ -242,8 +245,8 @@ def integrate_two_phase(r, step_size=DEFAULT_STEP, event_tol=DEFAULT_EVENT_TOL):
     event_tol. Returns a TrajectoryResult carrying the full grids.
     """
     _check_r(r)
-    if not step_size > 0.0:
-        raise InvalidInputError(f"step_size must be positive, got {step_size}")
+    if not step_size >= MIN_STEP:
+        raise InvalidInputError(f"step_size must be >= {MIN_STEP}, got {step_size}")
     if not event_tol > 0.0:
         raise InvalidInputError(f"event_tol must be positive, got {event_tol}")
     z0 = initial_state(r)

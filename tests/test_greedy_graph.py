@@ -140,23 +140,23 @@ UNSATURATED = np.zeros(4, dtype=bool)
 
 
 def test_completion_joins_the_labelled_components():
-    keys, connected = _complete(4, [0, 0, 2, 3], *PATH_EDGES, UNSATURATED)
-    assert keys.tolist() == [0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 3]
-    assert connected
+    keys, components = _complete(4, [0, 0, 2, 3], lambda: PATH_EDGES, UNSATURATED)
+    assert keys.tolist() == [0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 3]  # n - 1 keys: connected
+    assert components == 3
 
 
 def test_completion_rejects_a_parent_cycle():
     # a 2-cycle settles under pointer jumping, a 3-cycle never does
     for parent in ([1, 0, 2, 3], [1, 2, 0, 3]):
         with pytest.raises(InvariantViolationError):
-            _complete(4, parent, *PATH_EDGES, UNSATURATED)
+            _complete(4, parent, lambda: PATH_EDGES, UNSATURATED)
 
 
 def test_completion_rejects_a_needed_edge_at_a_saturated_vertex():
     saturated = UNSATURATED.copy()
     saturated[1] = True  # the tree needs the edge 1-2
     with pytest.raises(InvariantViolationError):
-        _complete(4, [0, 0, 2, 3], *PATH_EDGES, saturated)
+        _complete(4, [0, 0, 2, 3], lambda: PATH_EDGES, saturated)
 
 
 def test_graph_mode_takes_no_trajectory_samples(monkeypatch):

@@ -1,0 +1,110 @@
+"""Pinned greedy outputs, the greedy's counters and its memory peak.
+
+The pinned values come from the code before the greedy's state and
+completion were cut down for memory; a change to how a run draws, steps or
+completes shows here as a changed count or digest.
+"""
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import fdst.harness as harness
+from fdst.greedy import run_lazy, run_on_graph
+from fdst.graphs import sample_simple_regular
+
+
+def sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+# r: (full_degree_count, leaf_count, phase1_full_degree_count, rho1_empirical,
+#     sha256 of tree, sha256 of trajectory samples) of run_lazy(20_000, r, rng(r))
+LAZY_PINS = {
+    3: (9196, 9239, 8746, 0.64705,
+        "15705d02ff815d49a879a69c98a78312d0ef4b90e774afe824ce5f9931a5afc1",
+        "1b87dfcb7a2dec81fc9b468925ef4f07f1603f60000f8260e88a8d7fbe8ba388"),
+    4: (5373, 11353, 4860, 0.46835,
+        "dbe994bee1be4dc79eb06176e24ec252a4963ff8619155eb5e3425ab6c97b0bc",
+        "20b3540fc56ff6591e47d43ea5677c89285ea7fcea64f7e3027335009888edd7"),
+}
+
+# graph-mode simulate_trials(3, 1000, 3, seed=7): per trial (full_degree_count,
+# leaf_count, phase1_full_degree_count, rho1_empirical, sampler_rejections,
+# sha256 of the accepted run's tree)
+GRAPH_PINS = [
+    (454, 457, 440, 0.654, 1,
+     "0dd24a0b3a8b04f8464d1caf375949baf888472343494d62e3baa7f5b907527a"),
+    (466, 468, 454, 0.671, 1,
+     "26bdeb31c1628c74c68bd175190432777da39b40b70f7c9ac07503ec476d55a6"),
+    (456, 463, 433, 0.641, 7,
+     "2761523ab370cd866c20e163e516cbe1de53571143cab6b5c4e04a1e440c5950"),
+]
+
+
+@pytest.mark.parametrize("r", sorted(LAZY_PINS))
+def test_lazy_run_is_pinned(r):
+    res, traj = run_lazy(20_000, r, np.random.default_rng(r))
+    assert (res.full_degree_count, res.leaf_count, res.phase1_full_degree_count,
+            res.rho1_empirical, sha256(res.tree), sha256(traj.samples)) == LAZY_PINS[r]
+
+
+def test_graph_mode_trials_are_pinned(monkeypatch):
+    results = []
+    run = harness.run_on_pairing
+
+    def spy(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "run_on_pairing", spy)
+    records, _ = harness.simulate_trials(3, 1000, 3, 7, mode="graph", jobs=1)
+    assert all(res.connected for res in results)  # no trial drew again
+    got = [(rec["full_degree_count"], rec["leaf_count"], rec["phase1_full_degree_count"],
+            rec["rho1_empirical"], rec["sampler_rejections"], sha256(res.tree))
+           for rec, res in zip(records, results)]
+    assert got == GRAPH_PINS
+
+
+def forest_edge_count(res, r):
+    """Forest edges the greedy's successful steps added, from the step log.
+
+    A successful leaf step joins its r-1 partners; a successful fresh-vertex
+    step joins its partners outside the forest and, with one partner inside,
+    its own edge to it: r edges either way.
+    """
+    return sum((r - 1 if step.op == 1 else r) for step in res.steps if step.success)
+
+
+@pytest.mark.parametrize("mode", ["lazy", "graph"])
+def test_greedy_counters_match_the_step_log(mode):
+    rng = np.random.default_rng(11)
+    for n, r in ((60, 3), (200, 3), (50, 4), (40, 5)):
+        if mode == "lazy":
+            res, traj = run_lazy(n, r, rng, sample_stride=1, record_steps=True)
+            assert round(traj.samples[-1, 0] * n) == res.greedy_steps - 1
+        else:
+            res = run_on_graph(sample_simple_regular(n, r, rng), rng, record_steps=True)
+        assert res.greedy_steps == len(res.steps)
+        assert res.greedy_components == n - forest_edge_count(res, r)
+
+
+def test_lazy_run_memory_peak_per_vertex():
+    # tracemalloc peak of one warm run_lazy(10_000, 3): about 164 bytes a
+    # vertex when the greedy took a copy of the pairing, kept its fresh pool
+    # as boxed ints, and its scratch and the point pairs lived through
+    # completion; about 91 since
+    n = 10_000
+    run_lazy(1000, 3, np.random.default_rng(0))  # first-call allocations stay out
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_lazy(n, 3, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak / n < 125, f"{peak / n:.0f} bytes a vertex"

@@ -355,11 +355,13 @@ SHIFTED_ROWS = "5,0,0,1,0,0,3,1\n5.5,0,0,0.5,0.5,0.2,1.5,1\n"
       "--jobs", "1"], {}),
     (["simulate", "--mode", "graph", "--r", "3", "--n", "20", "--trials", "1",
       "--jobs", "1", "--sample-stride", "5"], {}),
+    (["integrate", "--r", "3", "--step", "1e-9"], {}),
+    (["reproduce-table1", "--step", "1e-9"], {}),
 ], ids=["edge-token", "header-token", "no-vertices", "missing-graph-file",
         "missing-key", "non-integer-value", "unknown-key", "repeated-key", "missing-csv",
         "non-numeric-cell", "no-rows", "short-rows", "jobs-zero", "jobs-negative",
         "no-x-overlap", "unknown-config-key", "graph-sampler-exhausted",
-        "graph-sample-stride"])
+        "graph-sample-stride", "integrate-tiny-step", "table1-tiny-step"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)

@@ -5,7 +5,7 @@ import pytest
 from fdst.constants import PHASE_BOUNDARIES
 from fdst.errors import (BlendDegenerateError, EventNotFoundError,
                          InvalidInputError, SingularityError)
-from fdst.ode import (DEFAULT_STEP, analytic_phase1, blend_phase2, deriv_op1,
+from fdst.ode import (DEFAULT_STEP, MIN_STEP, analytic_phase1, blend_phase2, deriv_op1,
                       deriv_op2, initial_state, integrate_two_phase)
 
 
@@ -112,8 +112,9 @@ def test_integration_guards():
     for bad_r in (2, 0, 3.5):
         with pytest.raises(InvalidInputError):
             integrate_two_phase(bad_r)
-    with pytest.raises(InvalidInputError):
-        integrate_two_phase(3, step_size=0.0)
+    for bad_step in (0.0, MIN_STEP / 2):  # a finer step only costs time and memory
+        with pytest.raises(InvalidInputError):
+            integrate_two_phase(3, step_size=bad_step)
     with pytest.raises(InvalidInputError):
         integrate_two_phase(3, event_tol=-1.0)
 
