@@ -47,6 +47,46 @@ def test_deriv_op2_at_phase1_end(ode_r3):
     assert d[2] < 0.0  # the unseen class keeps shrinking
 
 
+def _at_most(t, m, q):
+    """P_t(m): at most t of m revealed points land outside the unseen classes."""
+    return q ** m + t * m * q ** (m - 1) * (1.0 - q)
+
+
+def _drift_reference(r, z, op):
+    """One op step's drift restated class by class: k = r-2+op pairs are
+    revealed, and the step succeeds while at most op-1 partners are outside
+    the unseen classes."""
+    k = r - 2 + op
+    z_m = z[r + 2]
+    q = sum((i + 1) * z[i] for i in range(r)) / z_m
+    succ = _at_most(op - 1, k - 1, q)    # given one partner is unseen
+    hit = [(i + 1) * z[i] / z_m for i in range(r)]
+    d = [0.0] * (r + 3)
+    for i in range(r):
+        d[i] -= k * hit[i]
+    for i in range(r - 1):
+        d[i] += k * hit[i + 1] * (1.0 - succ)
+    d[r] = k * (hit[r - 1] * succ - (r - 1) * z[r] / z_m)
+    d[r + 1] = _at_most(op - 1, k, q)
+    d[r + 2] = -2.0 * k
+    d[r + 1 - op] -= 1.0                 # the processed leaf or fresh vertex
+    return d
+
+
+def test_drift_matches_at_most_form_at_interior_states():
+    # interior states, where every term of both drifts is live: each z_i > 0,
+    # z_L > 0 and 0 < q < 1
+    rng = np.random.default_rng(20)
+    for r in range(3, 11):
+        for _ in range(5):
+            z = (0.05 + rng.random(r + 3)).tolist()
+            q = 0.1 + 0.8 * rng.random()
+            z[r + 2] = sum((i + 1) * z[i] for i in range(r)) / q
+            for op, drift in ((1, deriv_op1), (2, deriv_op2)):
+                np.testing.assert_allclose(drift(r, z), _drift_reference(r, z, op),
+                                           rtol=1e-12, atol=0.0, err_msg=f"r={r} op={op}")
+
+
 def test_singularity_floor():
     z = initial_state(3)
     z[5] = 1e-9
