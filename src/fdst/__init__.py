@@ -25,7 +25,7 @@ from .graphs import (Pairing, SimpleGraph, graph_from_edges, is_connected,
                      sample_simple_regular, write_graph)
 from .greedy import (SpanningTreeResult, StepOutcome, Trajectory, run_lazy,
                      run_on_graph, run_on_pairing)
-from .ode import (TrajectoryResult, analytic_phase1, blend_phase2, deriv_op1,
-                  deriv_op2, initial_state, integrate_two_phase)
+from .ode import (TrajectoryResult, analytic_phase1, blend_phase2, deriv,
+                  initial_state, integrate_two_phase)
 
 __version__ = "0.1.0"

@@ -422,47 +422,30 @@ def check_propositions(g, exact):
     n = g.n
     dmax = g.max_degree()
     dmin = g.min_degree()
+    phi, lam = exact.phi, exact.lam
     checks = {}
 
+    def record(name, statement, value, passed, slack):
+        checks[name] = {"statement": statement, "value": value, "passed": passed,
+                        "slack": slack}
+
     lower = n / (dmax * (dmax - 1) + 1)
-    checks["phi_lower"] = {
-        "statement": f"phi >= n/(D(D-1)+1) = {lower:.4f}",
-        "value": exact.phi,
-        "passed": exact.phi >= lower - 1e-9,
-        "slack": exact.phi - lower,
-    }
+    record("phi_lower", f"phi >= n/(D(D-1)+1) = {lower:.4f}", phi,
+           phi >= lower - 1e-9, phi - lower)
     if dmin >= 2:
         upper = (n - 2) / (dmin - 1)
-        checks["phi_upper"] = {
-            "statement": f"phi <= (n-2)/(d-1) = {upper:.4f}",
-            "value": exact.phi,
-            "passed": exact.phi <= upper + 1e-9,
-            "slack": upper - exact.phi,
-        }
-    checks["leaf_domination_identity"] = {
-        "statement": "lambda = n - gamma_c",
-        "value": (exact.lam, n - exact.gamma_c),
-        "passed": exact.lam == n - exact.gamma_c,
-        "slack": 0,
-    }
-    if dmax == dmin:
-        r = dmax
-        if r == 3:
-            checks["cubic_leaf_identity"] = {
-                "statement": "lambda = phi + 2",
-                "value": (exact.lam, exact.phi + 2),
-                "passed": exact.lam == exact.phi + 2,
-                "slack": exact.lam - exact.phi - 2,
-            }
-        elif r >= 4:
-            checks["leaf_lower_bound"] = {
-                "statement": f"lambda >= (r-2)*phi + 2 = {(r - 2) * exact.phi + 2}",
-                "value": exact.lam,
-                "passed": exact.lam >= (r - 2) * exact.phi + 2,
-                "slack": exact.lam - (r - 2) * exact.phi - 2,
-            }
-    checks["all_pass"] = all(
-        c["passed"] for k, c in checks.items() if isinstance(c, dict))
+        record("phi_upper", f"phi <= (n-2)/(d-1) = {upper:.4f}", phi,
+               phi <= upper + 1e-9, upper - phi)
+    record("leaf_domination_identity", "lambda = n - gamma_c", (lam, n - exact.gamma_c),
+           lam == n - exact.gamma_c, 0)
+    if dmax == dmin == 3:
+        record("cubic_leaf_identity", "lambda = phi + 2", (lam, phi + 2),
+               lam == phi + 2, lam - phi - 2)
+    elif dmax == dmin >= 4:
+        bound = (dmax - 2) * phi + 2
+        record("leaf_lower_bound", f"lambda >= (r-2)*phi + 2 = {bound}", lam,
+               lam >= bound, lam - bound)
+    checks["all_pass"] = all(c["passed"] for c in checks.values())
     return checks
 
 

@@ -1,4 +1,4 @@
-"""Scaled one-step drift functions and the two-phase trajectory integrator.
+"""The scaled one-step drift and the two-phase trajectory integrator.
 
 The state vector has a = r+3 coordinates ordered (z_1, ..., z_r, z_L, z_F,
 z_M): scaled sizes of the unseen classes Z_1..Z_r, the processable-leaf
@@ -83,34 +83,13 @@ def initial_state(r):
     return z
 
 
-def deriv_op1(r, z):
-    """Drift of one leaf-processing step, which reveals r-1 pairs."""
-    z_m = z[r + 2]
-    if z_m < Z_M_FLOOR:
-        raise SingularityError(f"z_M = {z_m} below floor {Z_M_FLOOR}")
-    big_z = 0.0
-    for i in range(r):
-        big_z += (i + 1) * z[i]
-    q = big_z / z_m
-    q_r2 = q ** (r - 2)
-    d = [0.0] * (r + 3)
-    for i in range(1, r):
-        d[i - 1] = (r - 1) * (-i * z[i - 1] / z_m
-                              + (i + 1) * z[i] / z_m * (1.0 - q_r2))
-    d[r - 1] = (r - 1) * (-r * z[r - 1] / z_m)
-    # the -1 is the processed leaf itself leaving L
-    d[r] = -1.0 + (r - 1) * (-(r - 1) * z[r] / z_m + r * z[r - 1] / z_m * q_r2)
-    d[r + 1] = q ** (r - 1)
-    d[r + 2] = -2.0 * (r - 1)
-    return d
+def deriv(r, z, op):
+    """Drift of one op step: a leaf step (op 1) or a fresh-vertex step (op 2).
 
-
-def deriv_op2(r, z):
-    """Drift of one fresh-vertex step, which reveals r pairs.
-
-    The success factor allows one revealed point to land outside the unseen
-    classes: P = q^(r-1) + (r-1) q^(r-2) (1-q) with q the unseen share of
-    unrevealed points.
+    An op step reveals k = r-2+op pairs and succeeds while at most op-1 of
+    them land outside the unseen classes, whose share of the unrevealed
+    points is q; ``s`` is that success given one partner is unseen and
+    ``gain`` the full-degree yield.
     """
     z_m = z[r + 2]
     if z_m < Z_M_FLOOR:
@@ -120,16 +99,22 @@ def deriv_op2(r, z):
         big_z += (i + 1) * z[i]
     q = big_z / z_m
     q_r2 = q ** (r - 2)
-    p_succ = q * q_r2 + (r - 1) * q_r2 * (1.0 - q)
+    k = r - 2 + op
+    if op == 1:
+        s = q_r2
+        gain = q ** (r - 1)
+    else:
+        s = q * q_r2 + (r - 1) * q_r2 * (1.0 - q)
+        gain = q ** r + r * q ** (r - 1) * (1.0 - q)
     d = [0.0] * (r + 3)
     for i in range(1, r):
-        d[i - 1] = r * (-i * z[i - 1] / z_m
-                        + (i + 1) * z[i] / z_m * (1.0 - p_succ))
-    # the -1 is the processed fresh vertex itself leaving Z_r
-    d[r - 1] = -1.0 + r * (-r * z[r - 1] / z_m)
-    d[r] = r * (-(r - 1) * z[r] / z_m + r * z[r - 1] / z_m * p_succ)
-    d[r + 1] = q ** r + r * q ** (r - 1) * (1.0 - q)
-    d[r + 2] = -2.0 * r
+        d[i - 1] = k * (-i * z[i - 1] / z_m + (i + 1) * z[i] / z_m * (1.0 - s))
+    d[r - 1] = k * (-r * z[r - 1] / z_m)
+    d[r] = k * (-(r - 1) * z[r] / z_m + r * z[r - 1] / z_m * s)
+    d[r + 1] = gain
+    d[r + 2] = -2.0 * k
+    # the processed vertex itself leaves L (op 1) or Z_r (op 2)
+    d[r + 1 - op] -= 1.0
     return d
 
 
@@ -139,8 +124,8 @@ def blend_phase2(r, z, x=None):
     alpha is the expected L-gain of a fresh-vertex step, tau the expected
     L-loss of a leaf step; the mixture zeroes the L drift identically.
     """
-    d1 = deriv_op1(r, z)
-    d2 = deriv_op2(r, z)
+    d1 = deriv(r, z, 1)
+    d2 = deriv(r, z, 2)
     tau = -d1[r]
     alpha = d2[r]
     if tau <= 0.0 or tau + alpha <= 0.0:
@@ -253,7 +238,7 @@ def integrate_two_phase(r, step_size=DEFAULT_STEP, event_tol=DEFAULT_EVENT_TOL):
     # phase 1 starts at z_L = 0 and z_L rises at slope r-2 > 0, so only its
     # return to zero is a sign change
     phase1 = _integrate_phase(
-        lambda z: deriv_op1(r, z), z0, 0.0, step_size,
+        lambda z: deriv(r, z, 1), z0, 0.0, step_size,
         event_comp=r, event_tol=event_tol, phase=1)
     phase2 = _integrate_phase(
         lambda z: blend_phase2(r, z), phase1.end_state.tolist(), phase1.rho,

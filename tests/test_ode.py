@@ -5,19 +5,19 @@ import pytest
 from fdst.constants import PHASE_BOUNDARIES
 from fdst.errors import (BlendDegenerateError, EventNotFoundError,
                          InvalidInputError, SingularityError)
-from fdst.ode import (DEFAULT_STEP, MIN_STEP, analytic_phase1, blend_phase2, deriv_op1,
-                      deriv_op2, initial_state, integrate_two_phase)
+from fdst.ode import (DEFAULT_STEP, MIN_STEP, analytic_phase1, blend_phase2, deriv,
+                      initial_state, integrate_two_phase)
 
 
 def test_deriv_op1_at_initial_state_r3():
-    d = deriv_op1(3, [0.0, 0.0, 1.0, 0.0, 0.0, 3.0])
+    d = deriv(3, [0.0, 0.0, 1.0, 0.0, 0.0, 3.0], 1)
     assert d == [0.0, 0.0, -2.0, 1.0, 1.0, -4.0]
 
 
 def test_deriv_op1_zero_unseen_share():
     # with every z_i = 0 the success factor and the L-gain vanish
     z = [0.0, 0.0, 0.0, 0.2, 0.1, 1.5]
-    d = deriv_op1(3, z)
+    d = deriv(3, z, 1)
     assert d[4] == 0.0
     assert d[3] == -1.0 + 2 * (-2 * 0.2 / 1.5)
 
@@ -28,21 +28,21 @@ def test_deriv_op1_m_slope_is_state_independent():
         for _ in range(10):
             z = (0.2 * rng.random(r + 3)).tolist()
             z[r + 2] = 1.0 + rng.random()
-            assert deriv_op1(r, z)[r + 2] == -2.0 * (r - 1)
-            assert deriv_op2(r, z)[r + 2] == -2.0 * r
+            assert deriv(r, z, 1)[r + 2] == -2.0 * (r - 1)
+            assert deriv(r, z, 2)[r + 2] == -2.0 * r
 
 
 def test_deriv_op2_saturated_and_empty_states():
     # all unrevealed points unseen: success is certain
-    d = deriv_op2(3, [0.0, 0.0, 1.0, 0.0, 0.0, 3.0])
+    d = deriv(3, [0.0, 0.0, 1.0, 0.0, 0.0, 3.0], 2)
     assert d[4] == 1.0 and d[5] == -6.0
     # no unseen points left: success is impossible
-    d = deriv_op2(3, [0.0, 0.0, 0.0, 0.3, 0.1, 1.0])
+    d = deriv(3, [0.0, 0.0, 0.0, 0.3, 0.1, 1.0], 2)
     assert d[4] == 0.0
 
 
 def test_deriv_op2_at_phase1_end(ode_r3):
-    d = deriv_op2(3, ode_r3.phase1.end_state.tolist())
+    d = deriv(3, ode_r3.phase1.end_state.tolist(), 2)
     assert all(np.isfinite(d))
     assert d[2] < 0.0  # the unseen class keeps shrinking
 
@@ -82,8 +82,8 @@ def test_drift_matches_at_most_form_at_interior_states():
             z = (0.05 + rng.random(r + 3)).tolist()
             q = 0.1 + 0.8 * rng.random()
             z[r + 2] = sum((i + 1) * z[i] for i in range(r)) / q
-            for op, drift in ((1, deriv_op1), (2, deriv_op2)):
-                np.testing.assert_allclose(drift(r, z), _drift_reference(r, z, op),
+            for op in (1, 2):
+                np.testing.assert_allclose(deriv(r, z, op), _drift_reference(r, z, op),
                                            rtol=1e-12, atol=0.0, err_msg=f"r={r} op={op}")
 
 
@@ -91,9 +91,9 @@ def test_singularity_floor():
     z = initial_state(3)
     z[5] = 1e-9
     with pytest.raises(SingularityError):
-        deriv_op1(3, z)
+        deriv(3, z, 1)
     with pytest.raises(SingularityError):
-        deriv_op2(3, z)
+        deriv(3, z, 2)
 
 
 def test_blend_zeroes_leaf_drift():
@@ -114,7 +114,7 @@ def test_blend_is_plain_average_when_rates_match():
     # leaf step equals the leaf gain of a fresh step (tau = alpha)
     def gap(s):
         z = [0.02, 0.05, s, 0.0, 0.4, 0.9]
-        return -deriv_op1(3, z)[3] - deriv_op2(3, z)[3]
+        return -deriv(3, z, 1)[3] - deriv(3, z, 2)[3]
 
     lo, hi = 0.01, 0.3
     assert gap(lo) > 0 > gap(hi)
@@ -125,15 +125,15 @@ def test_blend_is_plain_average_when_rates_match():
         else:
             hi = mid
     z = [0.02, 0.05, 0.5 * (lo + hi), 0.0, 0.4, 0.9]
-    d1, d2, db = deriv_op1(3, z), deriv_op2(3, z), blend_phase2(3, z)
+    d1, d2, db = deriv(3, z, 1), deriv(3, z, 2), blend_phase2(3, z)
     mean = [(a + b) / 2 for a, b in zip(d1, d2)]
     assert np.allclose(db, mean, atol=1e-9)
 
 
 def test_blend_mixture_in_unit_interval_at_phase2_start(ode_r3):
     z = ode_r3.phase1.end_state.tolist()
-    d1 = deriv_op1(3, z)
-    d2 = deriv_op2(3, z)
+    d1 = deriv(3, z, 1)
+    d2 = deriv(3, z, 2)
     tau, alpha = -d1[3], d2[3]
     p = alpha / (tau + alpha)
     assert 0.0 < p < 1.0
