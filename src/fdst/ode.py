@@ -106,9 +106,10 @@ def deriv(r, z, op):
     else:
         s = q * q_r2 + (r - 1) * q_r2 * (1.0 - q)
         gain = q ** r + r * q ** (r - 1) * (1.0 - q)
+    fail = 1.0 - s
     d = [0.0] * (r + 3)
     for i in range(1, r):
-        d[i - 1] = k * (-i * z[i - 1] / z_m + (i + 1) * z[i] / z_m * (1.0 - s))
+        d[i - 1] = k * (-i * z[i - 1] / z_m + (i + 1) * z[i] / z_m * fail)
     d[r - 1] = k * (-r * z[r - 1] / z_m)
     d[r] = k * (-(r - 1) * z[r] / z_m + r * z[r - 1] / z_m * s)
     d[r + 1] = gain
