@@ -16,12 +16,18 @@ from .errors import AttemptsExhaustedError, InvalidInputError
 MAX_ATTEMPTS = 20_000
 
 
+def index_dtype(size):
+    """The dtype of indices 0..size-1: int32 when size < 2**31, else int64."""
+    return np.int32 if size < 2**31 else np.int64
+
+
 @dataclass
 class Pairing:
     """A perfect matching on r*n labeled configuration points.
 
     ``matches`` is a fixed-point-free involution: matches[p] is the point
-    paired with p, and matches[matches[p]] == p for every p.
+    paired with p, and matches[matches[p]] == p for every p. Its dtype is
+    ``index_dtype(r*n)``: int32 when r*n < 2**31, else int64.
     """
 
     n: int
@@ -32,9 +38,13 @@ class Pairing:
         return self.n * self.r
 
     def vertex_pairs(self):
-        """Vertices u[i], v[i] of the matched pairs (p, q), p < q, in increasing order of p."""
-        u = np.flatnonzero(np.arange(self.num_points()) < self.matches)
-        v = self.matches[u]
+        """Vertices u[i], v[i] of the matched pairs (p, q), p < q, in increasing order of p.
+
+        Both arrays have the dtype of ``matches``.
+        """
+        matches = self.matches
+        v = matches[np.arange(len(matches), dtype=matches.dtype) < matches]
+        u = matches[v]
         u //= self.r
         v //= self.r
         return u, v
@@ -113,9 +123,15 @@ def sample_pairing(n, r, rng):
     m = n * r
     if m % 2:
         raise InvalidInputError(f"r*n must be even, got n={n}, r={r}")
-    # a uniform permutation read off in consecutive slots is a uniform matching
-    perm = rng.permutation(m)
-    matches = np.empty(m, dtype=np.int64)
+    # a uniform permutation read off in consecutive slots is a uniform matching;
+    # the int64 draw lives only until its copy in index_dtype(m) (shuffling an
+    # int32 arange gives the same order, but numpy swaps 8-byte items faster)
+    return _pairing(n, r, rng.permutation(m).astype(index_dtype(m)))
+
+
+def _pairing(n, r, perm):
+    """The pairing of ``perm[2i]`` with ``perm[2i+1]``, in the dtype of the permutation."""
+    matches = np.empty_like(perm)
     matches[perm[0::2]] = perm[1::2]
     matches[perm[1::2]] = perm[0::2]
     return Pairing(n=n, r=r, matches=matches)
@@ -142,17 +158,13 @@ def sample_simple_pairing(n, r, rng):
     for attempt in range(MAX_ATTEMPTS):
         # the pairing of sample_pairing, checked on the buckets of its pairs
         perm = rng.permutation(n * r)
-        a, b = perm[0::2], perm[1::2]
-        u, v = a // r, b // r
+        u, v = perm[0::2] // r, perm[1::2] // r
         if np.any(u == v):
             continue  # a loop
-        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))  # int64, as perm is
         if np.any(keys[1:] == keys[:-1]):
             continue  # a repeated edge
-        matches = np.empty(n * r, dtype=np.int64)
-        matches[a] = b
-        matches[b] = a
-        return Pairing(n=n, r=r, matches=matches), attempt
+        return _pairing(n, r, perm.astype(index_dtype(n * r))), attempt
     raise AttemptsExhaustedError(
         f"no simple graph in {MAX_ATTEMPTS} attempts (n={n}, r={r})")
 

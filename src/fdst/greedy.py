@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvariantViolationError
-from .graphs import Pairing, sample_pairing
+from .graphs import Pairing, index_dtype, sample_pairing
 from .ode import columns
 from .unionfind import UnionFind
 
@@ -106,10 +106,10 @@ class SpanningTreeResult:
     pairing: object = None  # lazy mode: the uniform Pairing drawn before the run
 
 
-def _int64s(values):
-    """The integers ``values`` as a typed array('q'), copied from their int64 buffer."""
-    out = array("q")
-    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B"))
+def _typed(values):
+    """The numpy integers ``values`` as a typed array of the same item size."""
+    out = array(values.dtype.char)
+    out.frombytes(memoryview(np.ascontiguousarray(values)).cast("B"))
     return out
 
 
@@ -129,82 +129,95 @@ def _complete(n, parent, pairs, saturated):
     u*n + v (u < v) of the tree's edges and the forest's component count;
     the keys span all n vertices when there are n - 1 of them.
 
-    Memory: an int64 buffer ``parent`` (the greedy's array('q')) is read in
-    place and labels are int32 below n = 2**31. ``pairs`` is called once the
-    labels are known, so the pair arrays live only through the cross filter;
-    the labels, component index and root mask are freed before the forest
-    keys are built in place.
+    Memory: vertex indices stay in ``index_dtype(n)``, so the greedy's
+    typed ``parent`` is read in place, and only the keys are int64.
+    ``pairs`` is called once the labels are known, so the pair arrays live
+    only through the cross filter; the labels are freed before the
+    union-find, which reads the component indices through memoryviews.
     """
-    parent = np.asarray(parent, dtype=np.int64)
-    labels = parent.astype(np.int32 if n < 2**31 else np.int64)
-    up = np.empty_like(labels)
+    parent = np.asarray(parent, dtype=index_dtype(n))
+    labels = parent
     for _ in range(n.bit_length() + 1):
-        np.take(labels, labels, out=up)
+        up = labels[labels]  # np.take would cast the indices to int64
         if np.array_equal(up, labels):
             break
-        labels, up = up, labels
-    if not np.array_equal(np.take(parent, labels, out=up), labels):
-        raise InvariantViolationError("the forest's parent pointers have a cycle")
+        labels = up
     del up
+    if not np.array_equal(parent[labels], labels):
+        raise InvariantViolationError("the forest's parent pointers have a cycle")
     u, v = pairs()
     cross = labels[u] != labels[v]
-    u, v = u[cross], v[cross]
-    cross_keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    del cross, u, v
+    cross_keys = np.sort(_keys(n, u[cross], v[cross]))
+    del u, v, cross
     lo, hi = np.divmod(cross_keys, n)
-    root = parent == np.arange(n)
-    forest_u = np.flatnonzero(~root)
-    components = n - len(forest_u)
-    dense = np.cumsum(root) - 1  # root -> component index 0..components-1
-    union = UnionFind(components).union
-    kept = [i for i, (a, b) in enumerate(zip(dense[labels[lo]].tolist(),
-                                             dense[labels[hi]].tolist()))
-            if union(a, b)]
-    del labels, dense, root
-    lo, hi = lo[kept], hi[kept]
+    roots = np.flatnonzero(parent == np.arange(n, dtype=parent.dtype))
+    # component i is the tree of roots[i]; a memoryview yields one int at a
+    # time, where tolist() would hold them all
+    a, b = np.searchsorted(roots, labels[lo]), np.searchsorted(roots, labels[hi])
+    del labels
+    union = UnionFind(len(roots)).union
+    kept = [i for i, ab in enumerate(zip(memoryview(a), memoryview(b))) if union(*ab)]
+    cross_keys = cross_keys[kept]
+    lo, hi = np.divmod(cross_keys, n)
     bad = np.flatnonzero(saturated[lo] | saturated[hi])
     if len(bad):
         raise InvariantViolationError(
             f"completion tried to add ({lo[bad[0]]}, {hi[bad[0]]}) at a full-degree vertex")
-    forest_v = parent[forest_u]
-    keys = np.minimum(forest_u, forest_v)
-    keys *= n
-    keys += np.maximum(forest_u, forest_v)
-    keys = np.concatenate((keys, cross_keys[kept]))
+    child = np.arange(n, dtype=parent.dtype)
+    child = child[parent != child]
+    forest_keys = _keys(n, child, parent[child])
+    del child
+    keys = np.concatenate((forest_keys, cross_keys))
+    del forest_keys
     keys.sort()
-    return keys, components
+    return keys, len(roots)
+
+
+def _keys(n, u, v):
+    """The int64 keys min*n + max of the vertex pairs (u[i], v[i])."""
+    keys = np.minimum(u, v).astype(np.int64)
+    keys *= n
+    keys += np.maximum(u, v)
+    return keys
 
 
 class _State:
-    """Bookkeeping of one run: revealed points, vertex classes, pools and forest.
+    """Bookkeeping of one run: unrevealed points, vertex classes, pools and forest.
 
-    The leaf pool ``leaves`` holds the forest leaves with r-1 unrevealed
-    points, the fresh pool ``fresh`` the unseen vertices (class Z_r) not yet
-    processed. No vertex is in both, so they share ``pos``: pos[x] is x's
-    index in its pool. The forest is ``parent``: a root is its own parent and
-    any other forest vertex has the vertex whose step joined it; a vertex
-    outside the forest is a root. Completion finds the components from it.
+    ``unrevealed[v]`` counts v's unrevealed points; no per-point mark is
+    kept, because the counts imply the marks: while v is unprocessed, its
+    point q is revealed exactly when the vertex of q's partner has no
+    unrevealed point left. The leaf pool ``leaves`` holds the forest leaves
+    with r-1 unrevealed points, the fresh pool ``fresh`` the unseen vertices
+    (class Z_r) not yet processed. No vertex is in both, so they share
+    ``pos``: pos[x] is x's index in its pool. The forest is ``parent``: a
+    root is its own parent and any other forest vertex has the vertex whose
+    step joined it; a vertex outside the forest is a root. Completion finds
+    the components from it.
 
-    The state is the greedy's scratch: `_run` keeps only ``parent``, ``full``
-    and ``full_count`` and frees the rest, pools and ``pos`` included, before
+    Memory: the counts are one byte each below r = 256, and ``parent``,
+    ``fresh`` and ``pos`` are typed arrays of ``index_dtype(n)``, four bytes
+    an entry below n = 2**31. The state is the greedy's scratch: `_run` keeps
+    only ``parent``, ``full`` and ``full_count`` and frees the rest before
     completion. The greedy reads the pairing's own ``matches``, not a copy.
     """
 
     def __init__(self, n, r):
         self.n = n
         self.r = r
-        self.revealed = bytearray(n * r)
         self.unrevealed_points = n * r
-        self.unrevealed = [r] * n
+        # a bytearray indexes faster than array("B"); it holds counts below 256
+        self.unrevealed = bytearray([r]) * n if r < 256 else [r] * n
         self.in_forest = bytearray(n)
         self.full = bytearray(n)
-        self.parent = _int64s(np.arange(n))
+        ids = np.arange(n, dtype=index_dtype(n))
+        self.parent = _typed(ids)
         self.count_z = [0] * (r + 1)
         self.count_z[r] = n
         self.full_count = 0
         self.leaves = []
-        self.fresh = _int64s(np.arange(n))
-        self.pos = _int64s(np.arange(n))
+        self.fresh = _typed(ids)
+        self.pos = _typed(ids)
 
     def sample(self, t, phase):
         n = self.n
@@ -218,8 +231,12 @@ class _State:
             return "L" if self.unrevealed[v] == self.r - 1 else "dead_leaf"
         return f"Z{self.unrevealed[v]}"
 
-    def audit(self):
-        """O(n) recomputation of every incremental counter and pool, and of the forest."""
+    def audit(self, fixed):
+        """O(n r) recomputation of every incremental counter and pool, and of the forest.
+
+        The unrevealed counts are recounted from the pairing ``fixed``: a pair
+        is unrevealed exactly when both of its vertices have unrevealed points.
+        """
         n, r = self.n, self.r
         count_z = [0] * (r + 1)
         leaves, fresh = set(), set()
@@ -235,13 +252,17 @@ class _State:
                     leaves.add(v)
                 else:
                     held += u
-        total = sum(self.unrevealed)
+        unrevealed = self.unrevealed
+        total = sum(unrevealed)
+        recount = [sum(1 for p in fixed[v * r:v * r + r] if unrevealed[p // r])
+                   if unrevealed[v] else 0 for v in range(n)]
         ok = (count_z == self.count_z
               and leaves == set(self.leaves)
               and fresh == set(self.fresh)
               and all(self.pos[x] == i for pool in (self.leaves, self.fresh)
                       for i, x in enumerate(pool))
-              and self.unrevealed_points == total == self.revealed.count(0)
+              and recount == list(unrevealed)
+              and self.unrevealed_points == total
               and self.full_count == sum(self.full))
         if not ok:
             raise InvariantViolationError("greedy bookkeeping out of sync")
@@ -270,7 +291,7 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
     None, full count at the end of phase 1).
     """
     n, r = s.n, s.r
-    revealed, unrevealed, in_forest, full = s.revealed, s.unrevealed, s.in_forest, s.full
+    unrevealed, in_forest, full = s.unrevealed, s.in_forest, s.full
     parent, count_z = s.parent, s.count_z
     leaves, fresh, pos = s.leaves, s.fresh, s.pos
     # hot counters live in locals; s gets them back before sample() and audit()
@@ -302,12 +323,12 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
         inside = 0  # partners already in the forest; the last is ``anchor``
         clash = False  # a self-pair or a partner met twice
         for q in range(v * r, v * r + r):
-            if revealed[q]:
-                continue
             p = fixed[q]
-            revealed[q] = revealed[p] = 1
-            unrevealed_points -= 2
             w = p // r
+            # revealed when w was processed; a self-pair is met at its lower point
+            if not unrevealed[w] or w == v and p < q:
+                continue
+            unrevealed_points -= 2
             if w == v:
                 clash = True
                 if record_steps:
@@ -361,7 +382,7 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
                                      partners=notes))
         if invariant_checks:
             s.unrevealed_points, s.full_count = unrevealed_points, full_count
-            s.audit()
+            s.audit(fixed)
         if t == next_sample:
             s.unrevealed_points, s.full_count = unrevealed_points, full_count
             samples.append(s.sample(t, phase))
@@ -384,8 +405,10 @@ def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
     parent, full, full_count = s.parent, np.frombuffer(s.full, dtype=np.bool_), s.full_count
     del s  # the greedy's scratch, freed before completion
     keys, components = _complete(n, parent, pairing.vertex_pairs, full)
+    del parent
     tree = np.empty((len(keys), 2), dtype=np.int64)
     np.divmod(keys, n, out=(tree[:, 0], tree[:, 1]))
+    del keys
     deg = np.bincount(tree.ravel(), minlength=n)
     bad = np.flatnonzero(full & (deg != r))
     if len(bad):
@@ -430,9 +453,10 @@ def run_on_graph(g, rng, record_steps=False):
     # point v*r+i pairs with point w*r+j of w = adj[v][i], where j is v's
     # index in w's sorted list: a stable sort by w puts the points of w's
     # neighbours at w*r..w*r+r-1 in increasing order of the neighbour
-    nbrs = np.array(g.adjacency, dtype=np.int64).ravel()
-    matches = np.empty(len(nbrs), dtype=np.int64)
-    matches[np.argsort(nbrs, kind="stable")] = np.arange(len(nbrs))
+    dtype = index_dtype(g.n * r)
+    nbrs = np.array(g.adjacency, dtype=dtype).ravel()
+    matches = np.empty(len(nbrs), dtype=dtype)
+    matches[np.argsort(nbrs, kind="stable")] = np.arange(len(nbrs), dtype=dtype)
     result = run_on_pairing(Pairing(n=g.n, r=r, matches=matches), rng, record_steps)
     if not result.connected:
         raise InvalidInputError("graph mode requires a connected input graph")

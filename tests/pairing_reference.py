@@ -1,8 +1,29 @@
 """Set-based projection of a pairing, an independent reference for the array
-sampler, and the pairing's own validity check, which only tests call."""
+sampler, the samplers' int64 construction, and the pairing's own validity
+check, which only tests call."""
 import numpy as np
 
 from fdst.errors import InvalidInputError
+from fdst.graphs import Pairing
+
+
+def reference_pairing(n, r, rng):
+    """int64 matches pairing perm[2i] with perm[2i+1], for perm = rng.permutation(r*n)."""
+    perm = rng.permutation(n * r)
+    matches = np.empty(n * r, dtype=np.int64)
+    matches[perm[0::2]] = perm[1::2]
+    matches[perm[1::2]] = perm[0::2]
+    return matches
+
+
+def reference_simple_pairing(n, r, rng):
+    """(matches, rejections) of the first reference pairing whose projection is simple."""
+    rejections = 0
+    while True:
+        matches = reference_pairing(n, r, rng)
+        if is_simple(projected_pairs(Pairing(n=n, r=r, matches=matches))):
+            return matches, rejections
+        rejections += 1
 
 
 def validate_pairing(pairing):

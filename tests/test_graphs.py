@@ -6,9 +6,12 @@ validity.
 """
 from collections import Counter
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from pairing_reference import is_simple, projected_pairs, validate_pairing
+from hypothesis import given, settings
+from pairing_reference import (is_simple, projected_pairs, reference_pairing,
+                               reference_simple_pairing, validate_pairing)
 
 from fdst import graphs
 from fdst.errors import AttemptsExhaustedError, InvalidInputError
@@ -34,6 +37,38 @@ def test_pairing_determinism():
     a = sample_pairing(4, 3, np.random.default_rng(77))
     b = sample_pairing(4, 3, np.random.default_rng(77))
     assert np.array_equal(a.matches, b.matches)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3000), r=st.integers(2, 7), seed=st.integers(0, 2**32))
+def test_sample_pairing_is_the_int64_permutation_construction(n, r, seed):
+    # the same pairing from the same draws, in four-byte points, and the
+    # generator left where the reference leaves it
+    if (n * r) % 2:
+        n += 1
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    p = sample_pairing(n, r, rng)
+    assert p.matches.dtype == np.int32
+    assert np.array_equal(p.matches, reference_pairing(n, r, ref))
+    assert rng.random() == ref.random()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 60), r=st.integers(3, 4), seed=st.integers(0, 2**32))
+def test_sample_simple_pairing_is_the_int64_permutation_construction(n, r, seed):
+    if (n * r) % 2:
+        n += 1
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    p, rejections = sample_simple_pairing(n, r, rng)
+    matches, ref_rejections = reference_simple_pairing(n, r, ref)
+    assert p.matches.dtype == np.int32
+    assert np.array_equal(p.matches, matches) and rejections == ref_rejections
+    assert rng.random() == ref.random()
+
+
+def test_index_dtype_widens_at_2_to_the_31():
+    assert graphs.index_dtype(2**31 - 1) == np.int32
+    assert graphs.index_dtype(2**31) == np.int64
 
 
 def test_pairing_rejects_odd_point_count():

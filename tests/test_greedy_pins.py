@@ -2,7 +2,9 @@
 
 The pinned values come from the code before the greedy's state and
 completion were cut down for memory; a change to how a run draws, steps or
-completes shows here as a changed count or digest.
+completes shows here as a changed count or digest. The n = 50 000 pins lie
+above n = 46 341, where a key u*n + v of two vertices no longer fits in
+int32.
 """
 import hashlib
 import tracemalloc
@@ -42,6 +44,20 @@ GRAPH_PINS = [
      "2761523ab370cd866c20e163e516cbe1de53571143cab6b5c4e04a1e440c5950"),
 ]
 
+# run_lazy(50_000, 3, rng(50)): (full_degree_count, leaf_count,
+# phase1_full_degree_count, rho1_empirical, greedy_steps, greedy_components,
+# sha256 of tree, sha256 of trajectory samples)
+LARGE_LAZY_PIN = (
+    22978, 23111, 22001, 0.65168, 34627, 3349,
+    "b32a2251d9aecb842e6f281703546045c05da717c9c834cd5e62ae91351a659d",
+    "812f608b676ee1cf519ddb2c3e58c70e09f8f2bae772fa783c394ec5f482b936")
+
+# graph-mode simulate_trials(3, 50_000, 1, seed=7), in GRAPH_PINS' fields
+LARGE_GRAPH_PIN = [
+    (22944, 23064, 21905, 0.6492, 1,
+     "e74672e8920a43ecc67cd4c6dd070afc89cf4dcd0e8753f31c9b84ff49cf256d"),
+]
+
 
 @pytest.mark.parametrize("r", sorted(LAZY_PINS))
 def test_lazy_run_is_pinned(r):
@@ -50,7 +66,15 @@ def test_lazy_run_is_pinned(r):
             res.rho1_empirical, sha256(res.tree), sha256(traj.samples)) == LAZY_PINS[r]
 
 
-def test_graph_mode_trials_are_pinned(monkeypatch):
+def test_lazy_run_above_int32_keys_is_pinned():
+    res, traj = run_lazy(50_000, 3, np.random.default_rng(50))
+    assert (res.full_degree_count, res.leaf_count, res.phase1_full_degree_count,
+            res.rho1_empirical, res.greedy_steps, res.greedy_components,
+            sha256(res.tree), sha256(traj.samples)) == LARGE_LAZY_PIN
+
+
+def graph_trials(monkeypatch, n, trials):
+    """Graph-mode simulate_trials(3, n, trials, seed=7) in GRAPH_PINS' fields."""
     results = []
     run = harness.run_on_pairing
 
@@ -59,12 +83,19 @@ def test_graph_mode_trials_are_pinned(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(harness, "run_on_pairing", spy)
-    records, _ = harness.simulate_trials(3, 1000, 3, 7, mode="graph", jobs=1)
+    records, _ = harness.simulate_trials(3, n, trials, 7, mode="graph", jobs=1)
     assert all(res.connected for res in results)  # no trial drew again
-    got = [(rec["full_degree_count"], rec["leaf_count"], rec["phase1_full_degree_count"],
-            rec["rho1_empirical"], rec["sampler_rejections"], sha256(res.tree))
-           for rec, res in zip(records, results)]
-    assert got == GRAPH_PINS
+    return [(rec["full_degree_count"], rec["leaf_count"], rec["phase1_full_degree_count"],
+             rec["rho1_empirical"], rec["sampler_rejections"], sha256(res.tree))
+            for rec, res in zip(records, results)]
+
+
+def test_graph_mode_trials_are_pinned(monkeypatch):
+    assert graph_trials(monkeypatch, 1000, 3) == GRAPH_PINS
+
+
+def test_graph_mode_trial_above_int32_keys_is_pinned(monkeypatch):
+    assert graph_trials(monkeypatch, 50_000, 1) == LARGE_GRAPH_PIN
 
 
 def forest_edge_count(res, r):
@@ -94,7 +125,8 @@ def test_lazy_run_memory_peak_per_vertex():
     # tracemalloc peak of one warm run_lazy(10_000, 3): about 164 bytes a
     # vertex when the greedy took a copy of the pairing, kept its fresh pool
     # as boxed ints, and its scratch and the point pairs lived through
-    # completion; about 91 since
+    # completion; about 91 with eight-byte points, pools and forest and a
+    # reveal mark per point; about 65 with four-byte indices and no marks
     n = 10_000
     run_lazy(1000, 3, np.random.default_rng(0))  # first-call allocations stay out
     was_tracing = tracemalloc.is_tracing()
@@ -107,4 +139,4 @@ def test_lazy_run_memory_peak_per_vertex():
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak / n < 125, f"{peak / n:.0f} bytes a vertex"
+    assert peak / n < 75, f"{peak / n:.0f} bytes a vertex"

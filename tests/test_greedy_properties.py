@@ -248,7 +248,7 @@ def test_audit_rejects_a_cycle_in_the_parents():
     def finished_state():
         s = _State(n, r)
         _greedy(s, np.random.default_rng(6), fixed, None, False, False)
-        s.audit()
+        s.audit(fixed)
         return s
 
     s = finished_state()
@@ -258,4 +258,32 @@ def test_audit_rejects_a_cycle_in_the_parents():
         root = s.parent[root]
     s.parent[root] = child  # a root joins its own subtree
     with pytest.raises(InvariantViolationError):
-        s.audit()
+        s.audit(fixed)
+
+
+def test_audit_recounts_the_unrevealed_points_from_the_pairing():
+    # mid-run, one dormant forest leaf loses an unrevealed point and the
+    # running total follows: the classes, pools and totals all still agree,
+    # and only the recount from the pairing sees the change
+    n, r = 60, 4
+    fixed = sample_pairing(n, r, np.random.default_rng(7)).matches.tolist()
+    s = _State(n, r)
+    audit = s.audit
+
+    class Corrupted(Exception):
+        pass
+
+    def corrupt_at_first_dormant_leaf(fixed):
+        audit(fixed)  # the true state passes
+        dormant = [v for v in range(n) if s.in_forest[v] and not s.full[v]
+                   and 0 < s.unrevealed[v] < r - 1]
+        if dormant:
+            s.unrevealed[dormant[0]] -= 1
+            s.unrevealed_points -= 1
+            with pytest.raises(InvariantViolationError, match="out of sync"):
+                audit(fixed)
+            raise Corrupted
+
+    s.audit = corrupt_at_first_dormant_leaf
+    with pytest.raises(Corrupted):
+        _greedy(s, np.random.default_rng(8), fixed, None, False, True)
