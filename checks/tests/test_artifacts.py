@@ -1,0 +1,70 @@
+"""Tests of the artifact digests: the command list runs, and a change shows.
+
+    python -m pytest checks/tests
+"""
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import artifacts  # noqa: E402
+
+SRC = artifacts.ROOT / "src"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("inputs")
+    artifacts.write_inputs(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def out(tmp_path_factory, inputs):
+    return artifacts.run(SRC, tmp_path_factory.mktemp("run"), inputs)
+
+
+def test_the_list_holds_the_exact_small_graphs(inputs):
+    labels = [label for label, _ in artifacts.commands(inputs)]
+    assert len(labels) == len(set(labels))  # one --out directory each
+    assert sum(label.startswith("exact_g") for label in labels) == 32
+
+
+def test_every_command_runs_and_writes(out, inputs):
+    codes = (out / "exit_codes.txt").read_text().split("\n")[:-1]
+    assert codes == [f"0 {label}" for label, _ in artifacts.commands(inputs)]
+    for label, _ in artifacts.commands(inputs):
+        assert any((out / label).iterdir()), label
+
+
+def test_the_timestamp_line_is_dropped_and_nothing_else(tmp_path):
+    a, b, c = (tmp_path / f"{name}.json" for name in "abc")
+    a.write_text('{\n  "timestamp": "2001-01-01T00:00:00",\n  "x": 0.0\n}\n')
+    b.write_text('{\n  "timestamp": "2002-02-02T00:00:00",\n  "x": 0.0\n}\n')
+    c.write_text('{\n  "timestamp": "2001-01-01T00:00:00",\n  "x": -0.0\n}\n')
+    assert artifacts.digest(a) == artifacts.digest(b) != artifacts.digest(c)
+
+
+def test_differing_lists_changed_and_one_sided_paths():
+    a = {"same": "1", "changed": "2", "only_a": "3"}
+    b = {"same": "1", "changed": "4", "only_b": "5"}
+    assert artifacts.differing(a, b) == ["changed", "only_a", "only_b"]
+
+
+def test_a_changed_writer_shows_in_its_files_alone(out, inputs, tmp_path):
+    # a copy whose JSON writer ends files with one more blank line differs in
+    # every JSON file and in nothing else
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    harness = src / "fdst" / "harness.py"
+    text = harness.read_text()
+    old = '        fh.write("\\n")\n'
+    assert text.count(old) == 1
+    harness.write_text(text.replace(old, old + old))
+    changed = artifacts.digests(artifacts.run(src, tmp_path / "run", inputs))
+    expected = artifacts.digests(out)
+    assert artifacts.differing(expected, changed) == sorted(
+        path for path in expected if path.endswith(".json"))
