@@ -14,6 +14,8 @@ only, from the tree bound ceil((n-2)/(D-1)). ``reference_star_union_is_forest``
 joins the stars edge by edge in a union-find; the program joins each star to
 component masks.
 """
+import hashlib
+import json
 from itertools import combinations
 
 import numpy as np
@@ -599,6 +601,27 @@ def test_grid_torus_phi_upper_bound():
     assert g.n == 16
     phi, _ = phi_exact_stars(g)
     assert phi <= 4
+
+
+# sha256 of the JSON list of adjacency lists of each family, in parameter
+# order; recorded from the hand-indexed builders that cartesian_product replaced
+PRODUCT_PINS = {
+    "prism_graph": (lambda: [prism_graph(m) for m in range(3, 9)],
+                    "4459b0e64108cad2b5bcd6c41414b095828d5e2cfa6c17a9688dd24e99c917d0"),
+    "construct_prism_torus": (
+        lambda: [construct_prism_torus(r, m) for r in range(3, 7) for m in range(3, 7)],
+        "77ff321a0822d54c2a5e37287740d23376a71d1e5c1f636e28dc1dde42819964"),
+    "construct_grid_torus": (
+        lambda: [construct_grid_torus(delta, m) for delta in (4, 6) for m in range(3, 6)],
+        "c2240295e2988db94590598e4cb67ac0782efd3945d0ba0aef2a2be124880c67"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PRODUCT_PINS))
+def test_product_graph_labellings_are_pinned(family):
+    build, sha = PRODUCT_PINS[family]
+    adjacency = json.dumps([g.adjacency for g in build()]).encode()
+    assert hashlib.sha256(adjacency).hexdigest() == sha
 
 
 def test_exact_result_cross_checks(cubic_corpus):

@@ -314,6 +314,15 @@ def test_cli_exact_construction(tmp_path, capsys):
     assert payload["construction_witness_is_forest"]
     assert payload["construction_bound"] == 3
     assert payload["phi"] >= 3
+    # the grid construction has no witness, so it reports no bound
+    grid = tmp_path / "grid"
+    assert main(["exact", "--construction", "grid delta=4 m=3", "--out", str(grid)]) == 0
+    out = capsys.readouterr().out
+    assert "n = 12" in out and "construction bound" not in out
+    (name,) = os.listdir(grid)
+    payload = read_json_without_timestamp(grid / name)
+    assert payload["n"] == 12 and "construction_witness" not in payload
+    assert payload["propositions"]["all_pass"]
 
 
 def test_cli_exact_usage_errors():
