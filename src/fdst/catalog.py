@@ -1,4 +1,4 @@
-"""Named small graphs: the graphs that ``fdst exact --graph`` serves, and their builders."""
+"""Named small graphs for ``fdst exact --graph``, their builders, and the Cartesian product."""
 from __future__ import annotations
 
 from .errors import InvalidInputError
@@ -40,17 +40,19 @@ def moebius_kantor_graph():
     return generalized_petersen(8, 3)
 
 
+def cartesian_product(g, h):
+    """The Cartesian product G x H, in which vertex a of G's copy b is b*g.n + a."""
+    n = g.n
+    edges = [(b * n + u, b * n + v) for b in range(h.n) for u, v in g.edges()]
+    edges += [(b * n + a, c * n + a) for b, c in h.edges() for a in range(n)]
+    return graph_from_edges(n * h.n, edges)
+
+
 def prism_graph(m):
-    """K_2 x C_m: two m-cycles joined by a perfect matching (3-regular, n=2m)."""
+    """C_m x K_2: two m-cycles joined by a perfect matching (3-regular, n=2m)."""
     if m < 3:
         raise InvalidInputError("prism needs m >= 3")
-    edges = []
-    for i in range(m):
-        j = (i + 1) % m
-        edges.append(tuple(sorted((i, j))))
-        edges.append(tuple(sorted((m + i, m + j))))
-        edges.append((i, m + i))
-    return graph_from_edges(2 * m, sorted(set(edges)), r=3)
+    return cartesian_product(cycle_graph(m), complete_graph(2))
 
 
 def cube_graph():

@@ -122,6 +122,7 @@ _CONSTRUCTION_KEYS = {"prism": ("r", "m"), "grid": ("delta", "m")}
 
 
 def _parse_construction(text):
+    """The graph that ``text`` names, and its witness set (None for the grid)."""
     parts = text.split()
     if not parts:
         raise InvalidInputError("empty construction string")
@@ -145,11 +146,9 @@ def _parse_construction(text):
     if missing:
         raise InvalidInputError(f"construction {kind!r} needs {', '.join(missing)}")
     if kind == "prism":
-        g = construct_prism_torus(params["r"], params["m"])
-        witness = prism_torus_witness(params["r"], params["m"])
-        return g, {"kind": "prism", **params, "witness": witness}
-    g = construct_grid_torus(params["delta"], params["m"])
-    return g, {"kind": "grid", **params}
+        return (construct_prism_torus(params["r"], params["m"]),
+                prism_torus_witness(params["r"], params["m"]))
+    return construct_grid_torus(params["delta"], params["m"]), None
 
 
 def cmd_exact(args):
@@ -157,7 +156,7 @@ def cmd_exact(args):
     if len(sources) != 1:
         raise InvalidInputError(
             "exactly one of --graph/--graph-file/--construction is required")
-    meta = None
+    witness = None
     if args.graph:
         g = named_graph(args.graph)
         label = args.graph
@@ -165,7 +164,7 @@ def cmd_exact(args):
         g = read_graph(args.graph_file)
         label = os.path.basename(args.graph_file)
     else:
-        g, meta = _parse_construction(args.construction)
+        g, witness = _parse_construction(args.construction)
         label = args.construction
     res = exact_result(g)
     checks = check_propositions(g, res)
@@ -181,18 +180,17 @@ def cmd_exact(args):
         "witness_cds": res.witness_cds,
         "propositions": checks,
     }
-    if meta is not None and "witness" in meta:
-        payload["construction_witness"] = meta["witness"]
-        payload["construction_witness_is_forest"] = star_union_is_forest(
-            g, meta["witness"])
-        payload["construction_bound"] = len(meta["witness"])
+    if witness is not None:
+        payload["construction_witness"] = witness
+        payload["construction_witness_is_forest"] = star_union_is_forest(g, witness)
+        payload["construction_bound"] = len(witness)
     print(f"{label}: n = {g.n}, phi = {res.phi}, lambda = {res.lam}, "
           f"gamma_C = {res.gamma_c}")
     print(f"  full-degree witness (1-indexed): {_one_indexed(res.witness_full_set)}")
     print(f"  connected dominating set (1-indexed): {_one_indexed(res.witness_cds)}")
-    if meta is not None and "witness" in meta:
+    if witness is not None:
         ok = payload["construction_witness_is_forest"]
-        print(f"  construction bound: phi >= {len(meta['witness'])} "
+        print(f"  construction bound: phi >= {len(witness)} "
               f"(witness {'valid' if ok else 'INVALID'})")
     for name, check in checks.items():
         if isinstance(check, dict):

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import cartesian_product, complete_graph, cycle_graph
 from .errors import InvalidInputError, InvariantViolationError, SizeGuardError
-from .graphs import graph_from_edges
 
 # largest n each search accepts; the tree cross-check also stops above
 # TREE_COUNT_LIMIT spanning trees
@@ -450,24 +450,12 @@ def check_propositions(g, exact):
 
 
 def construct_prism_torus(r, m):
-    """Cartesian product of K_{r-1} with an m-cycle; r-regular on (r-1)*m vertices."""
+    """K_{r-1} x C_m, the m-cycle of cliques; r-regular on (r-1)*m vertices."""
     if r < 3:
         raise InvalidInputError(f"need r >= 3, got {r}")
     if m < 3:
         raise InvalidInputError(f"need m >= 3, got {m}")
-    k = r - 1
-
-    def idx(i, j):
-        return j * k + i
-
-    edges = set()
-    for j in range(m):
-        for a in range(k):
-            for b in range(a + 1, k):
-                edges.add((idx(a, j), idx(b, j)))
-            u, v = idx(a, j), idx(a, (j + 1) % m)
-            edges.add((min(u, v), max(u, v)))
-    return graph_from_edges(k * m, sorted(edges), r=r)
+    return cartesian_product(complete_graph(r - 1), cycle_graph(m))
 
 
 def prism_torus_witness(r, m):
@@ -477,24 +465,10 @@ def prism_torus_witness(r, m):
 
 
 def construct_grid_torus(delta, m):
-    """(K_{s} x K_{s}) x C_m with s = delta/2; delta-regular on s^2*m vertices."""
+    """(K_s x K_s) x C_m with s = delta/2; delta-regular on s^2*m vertices."""
     if delta < 4 or delta % 2:
         raise InvalidInputError(f"need even delta >= 4, got {delta}")
     if m < 3:
         raise InvalidInputError(f"need m >= 3, got {m}")
-    s = delta // 2
-
-    def idx(a, b, j):
-        return j * s * s + a * s + b
-
-    edges = set()
-    for j in range(m):
-        for a in range(s):
-            for b in range(s):
-                for a2 in range(a + 1, s):
-                    edges.add((idx(a, b, j), idx(a2, b, j)))
-                for b2 in range(b + 1, s):
-                    edges.add((idx(a, b, j), idx(a, b2, j)))
-                u, v = idx(a, b, j), idx(a, b, (j + 1) % m)
-                edges.add((min(u, v), max(u, v)))
-    return graph_from_edges(s * s * m, sorted(edges), r=delta)
+    clique = complete_graph(delta // 2)
+    return cartesian_product(cartesian_product(clique, clique), cycle_graph(m))

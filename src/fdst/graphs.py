@@ -101,6 +101,8 @@ def graph_from_edges(n, edges, r=None):
     """Build and validate a SimpleGraph from an edge list; given r, every degree must be r."""
     adjacency = [[] for _ in range(n)]
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidInputError(f"edge ({u}, {v}) out of range 0..{n - 1}")
         adjacency[u].append(v)
         adjacency[v].append(u)
     for a in adjacency:
@@ -243,6 +245,4 @@ def read_graph(path):
         raise InvalidInputError(f"{path}: n*r must be even, got n={n}, r={r}")
     if len(edges) != n * r // 2:
         raise InvalidInputError(f"{path}: expected n*r/2 = {n * r // 2} edges, got {len(edges)}")
-    if len(set(edges)) != len(edges):
-        raise InvalidInputError(f"{path}: repeated edge")
     return graph_from_edges(n, edges, r=r)

@@ -225,8 +225,6 @@ class _State:
                 self.full_count / n, self.unrevealed_points / n, phase)
 
     def class_label(self, v):
-        if self.full[v]:
-            return "full"
         if self.in_forest[v]:
             return "L" if self.unrevealed[v] == self.r - 1 else "dead_leaf"
         return f"Z{self.unrevealed[v]}"

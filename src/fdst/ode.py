@@ -3,9 +3,8 @@
 The state vector has a = r+3 coordinates ordered (z_1, ..., z_r, z_L, z_F,
 z_M): scaled sizes of the unseen classes Z_1..Z_r, the processable-leaf
 class L, the full-degree count F, and the unrevealed-point count M. All
-drifts depend on the state only; an x argument appears in integrator
-callbacks purely for interface uniformity, so do not hunt for a missing
-time term.
+drifts depend on the state only, so the integrator's callbacks take z
+alone; there is no time term.
 
 Phase 1 processes leaf vertices only and ends when z_L returns to zero;
 phase 2 mixes leaf steps and fresh-vertex steps in the deprioritized
@@ -119,7 +118,7 @@ def deriv(r, z, op):
     return d
 
 
-def blend_phase2(r, z, x=None):
+def blend_phase2(r, z):
     """Deprioritized phase-2 drift p*op1 + (1-p)*op2 with p = alpha/(tau+alpha).
 
     alpha is the expected L-gain of a fresh-vertex step, tau the expected
@@ -131,7 +130,7 @@ def blend_phase2(r, z, x=None):
     alpha = d2[r]
     if tau <= 0.0 or tau + alpha <= 0.0:
         raise BlendDegenerateError(
-            f"mixture undefined: tau={tau}, alpha={alpha}", x=x, state=list(z))
+            f"mixture undefined: tau={tau}, alpha={alpha}", state=list(z))
     p = alpha / (tau + alpha)
     q = 1.0 - p
     return [p * a + q * b for a, b in zip(d1, d2)]
@@ -200,8 +199,7 @@ def _integrate_phase(f, z0, x0, step, event_comp, event_tol, phase):
             raise EventNotFoundError(
                 f"phase {phase}: {what} at x={x:.6f} before the event fired") from exc
         except BlendDegenerateError as exc:
-            if exc.x is None:
-                exc.x = x
+            exc.x = x
             raise
         if z[event_comp] > 0.0 >= zn[event_comp]:
             s, z_end = _locate_zero(f, z, step, zn, event_comp, event_tol)

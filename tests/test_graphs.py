@@ -14,10 +14,11 @@ from pairing_reference import (is_simple, projected_pairs, reference_pairing,
                                reference_simple_pairing, validate_pairing)
 
 from fdst import graphs
+from fdst.cli import main
 from fdst.errors import AttemptsExhaustedError, InvalidInputError
-from fdst.graphs import (Pairing, graph_from_edges, is_connected, read_graph,
-                         sample_pairing, sample_simple_pairing, sample_simple_regular,
-                         write_graph)
+from fdst.graphs import (Pairing, SimpleGraph, graph_from_edges, is_connected,
+                         read_graph, sample_pairing, sample_simple_pairing,
+                         sample_simple_regular, write_graph)
 
 
 def test_pairing_counts_n2_r3(rng):
@@ -239,7 +240,26 @@ def test_graph_file_validation(tmp_path):
     bad_edge.write_text("4 3\n1 0\n")
     with pytest.raises(InvalidInputError):
         read_graph(bad_edge)
+    # n*r/2 edges, so the edge count passes and the repeat itself is refused
     dup_edge = tmp_path / "bad3.txt"
-    dup_edge.write_text("4 3\n0 1\n0 1\n")
-    with pytest.raises(InvalidInputError):
+    dup_edge.write_text("4 3\n0 1\n0 1\n0 2\n0 3\n1 2\n1 3\n")
+    with pytest.raises(InvalidInputError, match="repeated neighbor"):
         read_graph(dup_edge)
+    assert main(["exact", "--graph-file", str(dup_edge)]) == 2
+
+
+def test_graph_from_edges_refuses_out_of_range_ends():
+    for edge in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            graph_from_edges(3, [edge])
+
+
+@pytest.mark.parametrize("adjacency, message", [
+    ([[0, 1], [0]], "loop at vertex 0"),
+    ([[1, 1], [0, 0]], "repeated neighbor at vertex 0"),
+    ([[1, 2], [0]], "neighbor 2 out of range"),
+    ([[1], []], r"asymmetric edge \(0, 1\)"),
+], ids=["loop", "repeated-neighbor", "out-of-range", "asymmetric"])
+def test_validate_refuses_malformed_adjacency(adjacency, message):
+    with pytest.raises(InvalidInputError, match=message):
+        SimpleGraph(n=len(adjacency), adjacency=adjacency).validate()

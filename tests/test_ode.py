@@ -143,9 +143,33 @@ def test_blend_degenerate_error():
     # huge unseen share makes a leaf step gain leaves in expectation (tau < 0)
     z = [0.0, 0.0, 1.0, 0.0, 0.0, 1.2]
     with pytest.raises(BlendDegenerateError) as err:
-        blend_phase2(3, z, x=0.5)
-    assert err.value.state is not None
-    assert err.value.x == 0.5
+        blend_phase2(3, z)
+    assert err.value.state == z
+    assert err.value.x is None  # the integrator fills it in
+
+
+def test_blend_degenerate_error_carries_the_phase2_time(monkeypatch, tmp_path, capsys):
+    # the blend degenerates after ten phase-2 steps; the integrator stamps
+    # the error with the x of the step it failed in
+    import fdst.ode as ode
+    from fdst.cli import main
+
+    rho1 = integrate_two_phase(3).rho1
+    real, calls = ode.blend_phase2, []
+
+    def degenerate_later(r, z):
+        calls.append(1)
+        if len(calls) > 40:
+            raise BlendDegenerateError("synthetic", state=list(z))
+        return real(r, z)
+
+    monkeypatch.setattr(ode, "blend_phase2", degenerate_later)
+    with pytest.raises(BlendDegenerateError) as err:
+        integrate_two_phase(3)
+    assert err.value.x >= rho1 + 9 * DEFAULT_STEP
+    calls.clear()
+    assert main(["integrate", "--r", "3", "--out", str(tmp_path)]) == 3
+    assert "synthetic" in capsys.readouterr().err
 
 
 def test_integration_guards():
