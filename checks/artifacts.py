@@ -6,11 +6,11 @@
 PATH, A and B are ``src`` directories of checkouts (each holds ``fdst/``).
 Each is copied to a temporary directory and run there in one fresh
 interpreter, which calls ``fdst.cli.main`` once per command of
-``commands()``; every command writes into its own ``--out`` directory. A
-JSON file's ``"timestamp"`` line is dropped before hashing, so the digests
-of two runs of the same code agree; everything else is compared byte for
-byte, so -0.0 and 0.0 differ. The exit code of every command is an
-artifact too (``exit_codes.txt``).
+``commands()``; every command gets its own ``--out`` directory, which the
+commands of ``FAILING`` leave empty. A JSON file's ``"timestamp"`` line is
+dropped before hashing, so the digests of two runs of the same code agree;
+everything else is compared byte for byte, so -0.0 and 0.0 differ. The exit
+code of every command is an artifact too (``exit_codes.txt``).
 
 ``--src`` prints one ``sha256  path`` line per artifact. ``--compare``
 prints each artifact that differs or exists on one side only, and exits 1
@@ -35,6 +35,11 @@ NAMED_GRAPHS = ["k4", "k5", "k6", "k33", "prism", "cube", "petersen", "moebius-k
 CONSTRUCTIONS = ["prism r=3 m=6", "grid delta=4 m=4"]
 EXACT_SEED = 1  # the graphs of the exact_small benchmark workload at this seed
 SIM_SEED = 20
+# commands that must fail, with their exit codes: a step too coarse for the
+# drift overflows it (3), and a cubic n = 22 graph lies above the exact
+# searches' size guard (2)
+FAILING = {"integrate_r10_step0.2": (["integrate", "--r", "10", "--step", "0.2"], 3),
+           "construction_prism_m11": (["exact", "--construction", "prism r=3 m=11"], 2)}
 
 
 def commands(inputs):
@@ -59,6 +64,7 @@ def commands(inputs):
              for path in sorted(inputs.glob("*.txt"))]
     cmds.append(("compare", ["compare", "--sim-dir", "lazy_r3",
                              "--ode-csv", "integrate_r3/solution_r3.csv"]))
+    cmds += [(label, argv) for label, (argv, _) in FAILING.items()]
     return cmds
 
 

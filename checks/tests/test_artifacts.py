@@ -34,10 +34,14 @@ def test_the_list_holds_the_exact_small_graphs(inputs):
 
 
 def test_every_command_runs_and_writes(out, inputs):
+    # the failing commands exit with their codes and write nothing
     codes = (out / "exit_codes.txt").read_text().split("\n")[:-1]
-    assert codes == [f"0 {label}" for label, _ in artifacts.commands(inputs)]
-    for label, _ in artifacts.commands(inputs):
-        assert any((out / label).iterdir()), label
+    expected = {label: artifacts.FAILING.get(label, (None, 0))[1]
+                for label, _ in artifacts.commands(inputs)}
+    assert sorted(set(expected.values())) == [0, 2, 3]
+    assert codes == [f"{code} {label}" for label, code in expected.items()]
+    for label, code in expected.items():
+        assert any((out / label).iterdir()) == (code == 0), label
 
 
 def test_the_timestamp_line_is_dropped_and_nothing_else(tmp_path):

@@ -14,9 +14,8 @@ import sys
 
 from . import harness
 from .catalog import NAMED_GRAPHS, named_graph
-from .errors import (AttemptsExhaustedError, BlendDegenerateError,
-                     EventNotFoundError, InvalidInputError,
-                     InvariantViolationError, SingularityError, SizeGuardError)
+from .errors import (AttemptsExhaustedError, IntegrationError, InvalidInputError,
+                     InvariantViolationError)
 from .exact import (check_propositions, construct_grid_torus,
                     construct_prism_torus, exact_result, prism_torus_witness,
                     star_union_is_forest)
@@ -319,15 +318,14 @@ def main(argv=None):
         parser = _parser_for(tuple(sorted(config.items())))
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InvalidInputError, SizeGuardError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AttemptsExhaustedError as exc:
         # a property of the requested (n, r), not a broken invariant
         print(f"error: {exc}; use --mode lazy, which needs no simple graph", file=sys.stderr)
         return 2
-    except (InvariantViolationError, SingularityError, BlendDegenerateError,
-            EventNotFoundError) as exc:
+    except (IntegrationError, InvariantViolationError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,33 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the CLI exits 2 on the first two, 3 on the rest."""
 
 
 class InvalidInputError(ValueError):
-    """A precondition on user-supplied input is violated (bad n/r, malformed file, ...)."""
-
-
-class SizeGuardError(ValueError):
-    """An exact oracle was asked to run above its search's size guard."""
+    """User-supplied input is refused (bad n/r, malformed file, n above a size guard, ...)."""
 
 
 class AttemptsExhaustedError(RuntimeError):
     """Rejection sampling gave up after the configured number of attempts."""
 
 
-class SingularityError(RuntimeError):
-    """The scaled unrevealed-point count dropped below its positivity floor."""
-
-
-class BlendDegenerateError(RuntimeError):
-    """The phase-2 operation mixture is undefined (tau <= 0 or tau + alpha <= 0)."""
+class IntegrationError(RuntimeError):
+    """A phase of the trajectory system failed before its event fired: the
+    z_M floor, an undefined phase-2 mixture, an overflow, or an event that
+    bisection could not locate. ``x`` and ``state`` say where, when known."""
 
     def __init__(self, message, x=None, state=None):
         super().__init__(message)
         self.x = x
         self.state = state
-
-
-class EventNotFoundError(RuntimeError):
-    """Integration ended (floor / step cap) before the phase-end event fired."""
 
 
 class InvariantViolationError(RuntimeError):

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import cartesian_product, complete_graph, cycle_graph
-from .errors import InvalidInputError, InvariantViolationError, SizeGuardError
+from .errors import InvalidInputError, InvariantViolationError
 
-# largest n each search accepts; the tree cross-check also stops above
-# TREE_COUNT_LIMIT spanning trees
-STAR_GUARD = 24
-CDS_GUARD = 20
+# largest n the star and CDS searches accept, and the largest n the tree
+# cross-check runs at, which also stops above TREE_COUNT_LIMIT spanning trees
+SEARCH_GUARD = 20
 TREE_GUARD = 12
 TREE_COUNT_LIMIT = 500_000
 
@@ -146,7 +145,7 @@ def spanning_tree_extrema(g, max_vertices=16):
     """
     n = g.n
     if n > max_vertices:
-        raise SizeGuardError(f"spanning-tree DP guarded at n <= {max_vertices}, got {n}")
+        raise InvalidInputError(f"spanning-tree DP guarded at n <= {max_vertices}, got {n}")
     _neighbour_masks(g)  # raises unless g is connected
     if n == 1:
         return TreeExtrema(1, 1, [], 0, [])
@@ -255,8 +254,8 @@ def phi_exact_stars(g):
     conversely the stars of full-degree vertices all lie inside the tree.
     """
     n = g.n
-    if n > STAR_GUARD:
-        raise SizeGuardError(f"star search guarded at n <= {STAR_GUARD}, got {n}")
+    if n > SEARCH_GUARD:
+        raise InvalidInputError(f"star search guarded at n <= {SEARCH_GUARD}, got {n}")
     nbrs = _neighbour_masks(g)
     delta = g.min_degree()
     hard_ub = (n - 2) // (delta - 1) if delta >= 2 else n
@@ -302,8 +301,8 @@ def lambda_gamma_exact(g):
     witness is the lexicographically smallest CDS of the least size.
     """
     n = g.n
-    if n > CDS_GUARD:
-        raise SizeGuardError(f"CDS search guarded at n <= {CDS_GUARD}, got {n}")
+    if n > SEARCH_GUARD:
+        raise InvalidInputError(f"CDS search guarded at n <= {SEARCH_GUARD}, got {n}")
     nbrs = _neighbour_masks(g)
     if n < 3:
         raise InvalidInputError("leaf/domination exchange needs n >= 3")

@@ -92,7 +92,7 @@ def _run_trial(args):
     resamples = rejections = 0
     if mode == "lazy":
         result, traj = run_lazy(n, r, rng, sample_stride=sample_stride)
-    elif mode == "graph":
+    else:
         while True:
             pairing, rejected = sample_simple_pairing(n, r, rng)
             rejections += rejected
@@ -101,8 +101,6 @@ def _run_trial(args):
                 break
             resamples += 1
         traj = None
-    else:
-        raise InvalidInputError(f"unknown mode {mode!r}")
     record = {
         "trial": trial,
         "seed": trial_seed,
@@ -122,6 +120,8 @@ def _run_trial(args):
 
 def simulate_trials(r, n, trials, seed, mode="lazy", sample_stride=None, jobs=None):
     """Run independent seeded trials; returns (records, trajectories) by trial index."""
+    if mode not in ("lazy", "graph"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
     if trials < 0:
         raise InvalidInputError(f"trials must be >= 0, got {trials}")
     if jobs is not None and jobs < 1:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BlendDegenerateError, EventNotFoundError, InvalidInputError,
-                     SingularityError)
+from .errors import IntegrationError, InvalidInputError
 
 Z_M_FLOOR = 1e-6
 NEGATIVE_CLIP = 1e-12
@@ -92,7 +91,7 @@ def deriv(r, z, op):
     """
     z_m = z[r + 2]
     if z_m < Z_M_FLOOR:
-        raise SingularityError(f"z_M = {z_m} below floor {Z_M_FLOOR}")
+        raise IntegrationError(f"z_M = {z_m} below floor {Z_M_FLOOR}", state=list(z))
     big_z = 0.0
     for i in range(r):
         big_z += (i + 1) * z[i]
@@ -129,8 +128,7 @@ def blend_phase2(r, z):
     tau = -d1[r]
     alpha = d2[r]
     if tau <= 0.0 or tau + alpha <= 0.0:
-        raise BlendDegenerateError(
-            f"mixture undefined: tau={tau}, alpha={alpha}", state=list(z))
+        raise IntegrationError(f"mixture undefined: tau={tau}, alpha={alpha}", state=list(z))
     p = alpha / (tau + alpha)
     q = 1.0 - p
     return [p * a + q * b for a, b in zip(d1, d2)]
@@ -150,16 +148,21 @@ def _rk4_step(f, z, h):
             for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
 
 
-def _locate_zero(f, z, h, best, comp, event_tol):
+def _locate_zero(f, z, x, h, best, comp, event_tol):
     """Bisect the step fraction at which coordinate ``comp`` crosses zero.
 
-    z[comp] > 0 and the full step from z lands at ``best``, with best[comp]
-    <= 0; returns (s, state) with |state[comp]| <= event_tol, or raises
-    EventNotFoundError when the halvings run out first.
+    z[comp] > 0 at time x and the full step h from z lands at ``best``, with
+    best[comp] <= 0; returns (s, state) with |state[comp]| <= event_tol. The
+    halving stops once x + mid is no double strictly between x + lo and
+    x + hi, since no finer event time can be reported: after at most about
+    53 halvings when x >= h. Raises IntegrationError if the event is not
+    located by then.
     """
     lo, hi = 0.0, h
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not x + lo < x + mid < x + hi:
+            break
         zm = _rk4_step(f, z, mid)
         if abs(zm[comp]) <= event_tol:
             return mid, zm
@@ -167,10 +170,8 @@ def _locate_zero(f, z, h, best, comp, event_tol):
             lo = mid
         else:
             hi, best = mid, zm
-        if hi - lo < 1e-18:
-            break
     if abs(best[comp]) > event_tol:
-        raise EventNotFoundError(
+        raise IntegrationError(
             f"event not located to {event_tol:g}: bisection stopped at residual "
             f"|z[{comp}]| = {abs(best[comp]):.3e}")
     return hi, best
@@ -183,42 +184,41 @@ def _clip_small_negatives(z):
 
 
 def _integrate_phase(f, z0, x0, step, event_comp, event_tol, phase):
-    """Fixed-step march until ``event_comp`` changes sign from positive to <= 0."""
+    """Fixed-step march until ``event_comp`` changes sign from positive to <= 0.
+
+    A failure in a step or in the bisection raises one IntegrationError with
+    the phase, and the x and state at which the failing step began.
+    """
     cap = int(2.0 / step) + 8
     xs = [x0]
     rows = [list(z0)]
     z = list(z0)
     x = x0
-    for _ in range(cap):
-        try:
+    try:
+        for _ in range(cap):
             zn = _rk4_step(f, z, step)
-        except (SingularityError, OverflowError) as exc:
-            # a step too coarse for the drift can overflow before z_M reaches its floor
-            what = ("hit the z_M floor" if isinstance(exc, SingularityError)
-                    else "the drift overflowed")
-            raise EventNotFoundError(
-                f"phase {phase}: {what} at x={x:.6f} before the event fired") from exc
-        except BlendDegenerateError as exc:
-            exc.x = x
-            raise
-        if z[event_comp] > 0.0 >= zn[event_comp]:
-            s, z_end = _locate_zero(f, z, step, zn, event_comp, event_tol)
-            rho = x + s
-            _clip_small_negatives(z_end)
-            xs.append(rho)
-            rows.append(list(z_end))
-            return PhaseSolution(phase=phase,
-                                 xs=np.asarray(xs),
-                                 states=np.asarray(rows),
-                                 rho=rho,
-                                 end_state=np.asarray(z_end))
-        _clip_small_negatives(zn)
-        z = zn
-        x += step
-        xs.append(x)
-        rows.append(list(z))
-    raise EventNotFoundError(
-        f"phase {phase}: no event within {cap} steps of size {step}")
+            if z[event_comp] > 0.0 >= zn[event_comp]:
+                s, z_end = _locate_zero(f, z, x, step, zn, event_comp, event_tol)
+                rho = x + s
+                _clip_small_negatives(z_end)
+                xs.append(rho)
+                rows.append(list(z_end))
+                return PhaseSolution(phase=phase,
+                                     xs=np.asarray(xs),
+                                     states=np.asarray(rows),
+                                     rho=rho,
+                                     end_state=np.asarray(z_end))
+            _clip_small_negatives(zn)
+            z = zn
+            x += step
+            xs.append(x)
+            rows.append(list(z))
+    except (IntegrationError, OverflowError) as exc:
+        # a step too coarse for the drift can overflow before z_M reaches its floor
+        raise IntegrationError(
+            f"phase {phase} failed in the step from x={x:.6f}: {type(exc).__name__}: {exc}",
+            x=x, state=z) from exc
+    raise IntegrationError(f"phase {phase}: no event within {cap} steps of size {step}", x=x)
 
 
 def integrate_two_phase(r, step_size=DEFAULT_STEP, event_tol=DEFAULT_EVENT_TOL):

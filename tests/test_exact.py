@@ -24,7 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdst.catalog import cycle_graph, named_graph, prism_graph
-from fdst.errors import InvalidInputError, InvariantViolationError, SizeGuardError
+from fdst.cli import main
+from fdst.errors import InvalidInputError, InvariantViolationError
 from fdst.exact import (TreeExtrema, _frontier_edge_order, _neighbour_masks,
                         _tree_with_pendants, check_propositions, construct_grid_torus,
                         construct_prism_torus, exact_result, kirchhoff_tree_count,
@@ -532,14 +533,25 @@ def test_kirchhoff_count_is_zero_when_disconnected():
 
 def test_size_guards():
     mk = named_graph("moebius-kantor")
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(InvalidInputError, match="guarded"):
         phi_exact_trees(mk)  # n=16 above the default guard
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(InvalidInputError, match="guarded"):
         lambda_gamma_exact(cycle_graph(25))
-    with pytest.raises(SizeGuardError):
-        lambda_gamma_exact(cycle_graph(21))  # one above the CDS guard
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(InvalidInputError, match="guarded"):
+        lambda_gamma_exact(cycle_graph(21))  # one above the search guard
+    with pytest.raises(InvalidInputError, match="guarded"):
         phi_exact_stars(cycle_graph(30))
+
+
+def test_star_search_shares_the_cds_guard(capsys):
+    # a cubic n=22 prism torus is refused by the star search itself, before
+    # any search runs, and the command exits 2 on it
+    g = construct_prism_torus(3, 11)
+    assert g.n == 22
+    with pytest.raises(InvalidInputError, match="star search guarded at n <= 20"):
+        phi_exact_stars(g)
+    assert main(["exact", "--construction", "prism r=3 m=11"]) == 2
+    assert capsys.readouterr().err.startswith("error: star search guarded")
 
 
 def test_oracles_require_connected_input():
@@ -638,11 +650,18 @@ def test_exact_result_reports_the_enumerated_tree_count():
     assert exact_result(g).tree_count is None
 
 
-def test_exact_result_rejects_lambda_disagreement(monkeypatch):
-    def off_by_one(g):
-        lam, gamma, tree, cds = lambda_gamma_exact(g)
-        return lam + 1, gamma, tree, cds
-
-    monkeypatch.setattr("fdst.exact.lambda_gamma_exact", off_by_one)
-    with pytest.raises(InvariantViolationError, match="lambda"):
+@pytest.mark.parametrize("name, off_by_one, message", [
+    ("phi_exact_stars", lambda g: (phi_exact_stars(g)[0] + 1, phi_exact_stars(g)[1]),
+     "stars say"),
+    ("lambda_gamma_exact", lambda g: (lambda_gamma_exact(g)[0] + 1,
+                                      *lambda_gamma_exact(g)[1:]), "lambda"),
+    ("kirchhoff_tree_count", lambda g: kirchhoff_tree_count(g) + 1, "determinant says"),
+], ids=["phi", "lambda", "tree-count"])
+def test_exact_result_rejects_a_disagreement(monkeypatch, capsys, name, off_by_one, message):
+    # each cross-check of exact_result catches its oracle being off by one
+    monkeypatch.setattr(f"fdst.exact.{name}", off_by_one)
+    with pytest.raises(InvariantViolationError, match=message):
         exact_result(named_graph("petersen"))
+    if name == "phi_exact_stars":
+        assert main(["exact", "--graph", "petersen"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: oracle disagreement")

@@ -246,6 +246,12 @@ def test_graph_file_validation(tmp_path):
     with pytest.raises(InvalidInputError, match="repeated neighbor"):
         read_graph(dup_edge)
     assert main(["exact", "--graph-file", str(dup_edge)]) == 2
+    # n*r/2 edges again, but vertices 0 and 1 have degree 4 and 2 and 5 degree 2
+    irregular = tmp_path / "bad4.txt"
+    irregular.write_text("6 3\n0 1\n0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n")
+    with pytest.raises(InvalidInputError, match="vertex 0 has degree 4 != 3"):
+        read_graph(irregular)
+    assert main(["exact", "--graph-file", str(irregular)]) == 2
 
 
 def test_graph_from_edges_refuses_out_of_range_ends():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from fdst import harness
+from fdst import errors, harness
 from fdst.cli import main
 from fdst.graphs import is_connected, sample_simple_regular, write_graph
 from fdst.greedy import run_on_graph
@@ -95,6 +95,18 @@ def test_simulate_trials_caps_jobs(monkeypatch):
     assert asked == [3, 4, 4, 2]
     harness.simulate_trials(3, 20, 1, seed=1, jobs=64)
     assert asked == [3, 4, 4, 2]  # one trial runs in this process
+
+
+def test_simulate_trials_checks_its_arguments_before_any_trial(monkeypatch):
+    def no_trial(args):
+        raise AssertionError("a trial was dispatched")
+
+    monkeypatch.setattr(harness, "_run_trial", no_trial)
+    for trials in (0, 2):
+        with pytest.raises(errors.InvalidInputError, match="unknown mode 'bogus'"):
+            harness.simulate_trials(3, 10, trials, 1, mode="bogus", jobs=1)
+    with pytest.raises(errors.InvalidInputError, match="trials must be >= 0"):
+        harness.simulate_trials(3, 10, -1, 1)
 
 
 def test_simulate_trials_graph_mode():
@@ -426,15 +438,29 @@ def test_cli_config_values_take_the_flag_type(tmp_path, capsys, text, flag):
     assert f"argument {flag}: invalid int value" in capsys.readouterr().err
 
 
-def test_cli_internal_invariant_violation_exits_3(monkeypatch):
+EXIT_CODES = {errors.InvalidInputError: 2, errors.AttemptsExhaustedError: 2,
+              errors.IntegrationError: 3, errors.InvariantViolationError: 3}
+
+
+def test_every_error_class_has_an_exit_code():
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes == EXIT_CODES.keys()
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_cli_maps_each_error_class_to_its_exit_code(monkeypatch, capsys, cls):
     import fdst.cli as cli
-    from fdst.errors import InvariantViolationError
 
     def boom(*args, **kwargs):
-        raise InvariantViolationError("synthetic failure")
+        raise cls("synthetic failure")
 
     monkeypatch.setattr(cli, "integrate_two_phase", boom)
-    assert cli.main(["integrate", "--r", "3"]) == 3
+    assert cli.main(["integrate", "--r", "3"]) == EXIT_CODES[cls]
+    err = capsys.readouterr().err
+    assert err.startswith("error:" if EXIT_CODES[cls] == 2 else "internal error:")
+    assert "synthetic failure" in err
+    assert "Traceback" not in err
 
 
 def test_cli_too_coarse_step_is_an_internal_error_not_a_traceback(capsys):

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from fdst.constants import PHASE_BOUNDARIES
-from fdst.errors import (BlendDegenerateError, EventNotFoundError,
-                         InvalidInputError, SingularityError)
+from fdst.errors import IntegrationError, InvalidInputError
 from fdst.ode import (DEFAULT_STEP, MIN_STEP, analytic_phase1, blend_phase2, deriv,
                       initial_state, integrate_two_phase)
 
@@ -90,10 +89,10 @@ def test_drift_matches_at_most_form_at_interior_states():
 def test_singularity_floor():
     z = initial_state(3)
     z[5] = 1e-9
-    with pytest.raises(SingularityError):
-        deriv(3, z, 1)
-    with pytest.raises(SingularityError):
-        deriv(3, z, 2)
+    for op in (1, 2):
+        with pytest.raises(IntegrationError, match="below floor") as err:
+            deriv(3, z, op)
+        assert err.value.state == z
 
 
 def test_blend_zeroes_leaf_drift():
@@ -142,7 +141,7 @@ def test_blend_mixture_in_unit_interval_at_phase2_start(ode_r3):
 def test_blend_degenerate_error():
     # huge unseen share makes a leaf step gain leaves in expectation (tau < 0)
     z = [0.0, 0.0, 1.0, 0.0, 0.0, 1.2]
-    with pytest.raises(BlendDegenerateError) as err:
+    with pytest.raises(IntegrationError, match="mixture undefined") as err:
         blend_phase2(3, z)
     assert err.value.state == z
     assert err.value.x is None  # the integrator fills it in
@@ -160,11 +159,11 @@ def test_blend_degenerate_error_carries_the_phase2_time(monkeypatch, tmp_path, c
     def degenerate_later(r, z):
         calls.append(1)
         if len(calls) > 40:
-            raise BlendDegenerateError("synthetic", state=list(z))
+            raise IntegrationError("synthetic", state=list(z))
         return real(r, z)
 
     monkeypatch.setattr(ode, "blend_phase2", degenerate_later)
-    with pytest.raises(BlendDegenerateError) as err:
+    with pytest.raises(IntegrationError, match="phase 2") as err:
         integrate_two_phase(3)
     assert err.value.x >= rho1 + 9 * DEFAULT_STEP
     calls.clear()
@@ -183,11 +182,72 @@ def test_integration_guards():
         integrate_two_phase(3, event_tol=-1.0)
 
 
-def test_event_locator_fails_loudly():
+def test_event_locator_fails_loudly(monkeypatch):
     # no double meets this tolerance here; bisection runs out of halvings and
-    # must say so instead of returning the bracket end
-    with pytest.raises(EventNotFoundError, match="residual"):
+    # must say so instead of returning the bracket end, and it runs out once
+    # the event time x + mid can no longer be told from the bracket's ends
+    import fdst.ode as ode
+
+    real_step, real_locate = ode._rk4_step, ode._locate_zero
+    inside, bisection_steps = [False], [0]
+
+    def counted_step(*args):
+        bisection_steps[0] += inside[0]
+        return real_step(*args)
+
+    def locate(*args):
+        inside[0] = True
+        try:
+            return real_locate(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ode, "_rk4_step", counted_step)
+    monkeypatch.setattr(ode, "_locate_zero", locate)
+    with pytest.raises(IntegrationError, match="residual"):
         integrate_two_phase(3, step_size=5e-2, event_tol=1e-300)
+    assert 0 < bisection_steps[0] <= 64
+
+
+def _failing_phase2_bisection(monkeypatch, exc):
+    """Make the drift raise ``exc`` inside phase 2's event bisection only."""
+    import fdst.ode as ode
+
+    real_locate, calls = ode._locate_zero, []
+
+    def locate(f, *args):
+        calls.append(1)
+        if len(calls) < 2:
+            return real_locate(f, *args)
+
+        def raising(z):
+            raise exc
+
+        return real_locate(raising, *args)
+
+    monkeypatch.setattr(ode, "_locate_zero", locate)
+    return calls
+
+
+def test_bisection_error_carries_the_phase2_time(monkeypatch):
+    rho1 = integrate_two_phase(3).rho1
+    _failing_phase2_bisection(monkeypatch, IntegrationError("synthetic"))
+    with pytest.raises(IntegrationError, match="phase 2.*synthetic") as err:
+        integrate_two_phase(3)
+    assert err.value.x >= rho1
+    assert len(err.value.state) == 6
+
+
+def test_bisection_overflow_is_an_internal_error_not_a_traceback(monkeypatch, capsys):
+    from fdst.cli import main
+
+    calls = _failing_phase2_bisection(monkeypatch, OverflowError("synthetic overflow"))
+    assert main(["integrate", "--r", "3"]) == 3
+    assert len(calls) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "OverflowError: synthetic overflow" in err
+    assert "Traceback" not in err
 
 
 def test_phase_boundaries_r3_coarse_step():
