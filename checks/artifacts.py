@@ -106,10 +106,14 @@ def run(src, workdir, inputs):
     out.mkdir()
     cmds = commands(Path(inputs))
     env = dict(os.environ, PYTHONPATH=str(code), PYTHONDONTWRITEBYTECODE="1")
+    # the FAILING commands print their error lines, so stderr is shown only
+    # when the runner itself fails
     proc = subprocess.run([sys.executable, "-c", _RUNNER, str(code), json.dumps(cmds)],
-                          cwd=out, env=env, stdout=subprocess.DEVNULL)
+                          cwd=out, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
     if proc.returncode:
-        raise SystemExit(f"error: the command list stopped on {src} (exit {proc.returncode})")
+        raise SystemExit(f"error: the command list stopped on {src} "
+                         f"(exit {proc.returncode})\n{proc.stderr}")
     return out
 
 

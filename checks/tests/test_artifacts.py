@@ -72,3 +72,21 @@ def test_a_changed_writer_shows_in_its_files_alone(out, inputs, tmp_path):
     expected = artifacts.digests(out)
     assert artifacts.differing(expected, changed) == sorted(
         path for path in expected if path.endswith(".json"))
+
+
+def test_a_passing_run_prints_no_error_line(capfd):
+    # the FAILING commands' error lines stay in the runner's captured stderr
+    assert artifacts.main(["--src", str(SRC)]) == 0
+    out, err = capfd.readouterr()
+    assert "error:" not in err
+    lines = out.splitlines()
+    assert lines and all(len(line.split("  ")[0]) == 64 for line in lines)
+
+
+def test_a_failing_run_shows_the_runner_stderr(inputs, tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "fdst" / "cli.py"
+    cli.write_text(cli.read_text() + 'raise RuntimeError("cli broken")\n')
+    with pytest.raises(SystemExit, match="cli broken"):
+        artifacts.run(src, tmp_path / "run", inputs)

@@ -23,8 +23,8 @@ from .exact import (ExactResult, check_propositions, construct_grid_torus,
 from .graphs import (Pairing, SimpleGraph, graph_from_edges, is_connected,
                      read_graph, sample_pairing, sample_simple_pairing,
                      sample_simple_regular, write_graph)
-from .greedy import (SpanningTreeResult, StepOutcome, Trajectory, run_lazy,
-                     run_on_graph, run_on_pairing)
+from .greedy import (SpanningTreeResult, Trajectory, run_lazy, run_on_graph,
+                     run_on_pairing)
 from .ode import (TrajectoryResult, analytic_phase1, blend_phase2, deriv,
                   initial_state, integrate_two_phase)
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .catalog import cartesian_product, complete_graph, cycle_graph
 from .errors import InvalidInputError, InvariantViolationError
+from .graphs import is_connected
 
 # largest n the star and CDS searches accept, and the largest n the tree
 # cross-check runs at, which also stops above TREE_COUNT_LIMIT spanning trees
@@ -60,26 +61,15 @@ class ExactResult:
     tree_count: int | None
 
 
+def _require_connected(g):
+    if not is_connected(g):
+        raise InvalidInputError("oracle requires a connected graph")
+
+
 def _neighbour_masks(g):
     """Per vertex, the bitmask of its neighbours; the graph must be connected."""
-    nbrs = [sum(1 << w for w in adj) for adj in g.adjacency]
-    if _reach(nbrs, 0) != (1 << g.n) - 1:
-        raise InvalidInputError("oracle requires a connected graph")
-    return nbrs
-
-
-def _reach(nbrs, a):
-    """The mask of vertices reachable from a."""
-    reach = frontier = 1 << a
-    while frontier:
-        nxt = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            nxt |= nbrs[bit.bit_length() - 1]
-        frontier = nxt & ~reach
-        reach |= frontier
-    return reach
+    _require_connected(g)
+    return [sum(1 << w for w in adj) for adj in g.adjacency]
 
 
 def _frontier_edge_order(g):
@@ -146,7 +136,7 @@ def spanning_tree_extrema(g, max_vertices=16):
     n = g.n
     if n > max_vertices:
         raise InvalidInputError(f"spanning-tree DP guarded at n <= {max_vertices}, got {n}")
-    _neighbour_masks(g)  # raises unless g is connected
+    _require_connected(g)
     if n == 1:
         return TreeExtrema(1, 1, [], 0, [])
     edges = _frontier_edge_order(g)

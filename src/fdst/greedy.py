@@ -17,7 +17,10 @@ Class bookkeeping follows per-point semantics: a vertex not in the forest
 with i unrevealed points is in class Z_i, a forest leaf with r-1 unrevealed
 points is in L, and anything hit along the way drops down a class or goes
 dormant. A leaf step succeeds when none of its newly revealed partners lies
-in the forest, a fresh-vertex step when at most one does.
+in the forest, a fresh-vertex step when at most one does; either fails when
+one of its points is paired with another of its own or two of them with one
+partner. The loop keeps no per-step record: the tests check its decisions
+against point-level and graph-level replays of the same random draws.
 
 * lazy mode (`run_lazy`) runs on a uniform pairing drawn before the run.
   By deferred decisions that is the lazily revealed configuration model
@@ -35,8 +38,7 @@ in the forest, a fresh-vertex step when at most one does.
 
 Failure steps are deliberately cautious: the processed vertex is retired
 even when a more careful case analysis could sometimes still make it full
-degree, and steps with self-pairs or coincident partners (O(1/n) events)
-are declared failures.
+degree, and the self-pair and coincident-partner failures are O(1/n) events.
 """
 from __future__ import annotations
 
@@ -55,14 +57,6 @@ def _uniforms(rng):
     """Endless stream of uniform floats in [0, 1), drawn from ``rng`` 4096 at a time."""
     while True:
         yield from rng.random(4096).tolist()
-
-
-@dataclass
-class StepOutcome:
-    op: int                 # 1 = leaf step, 2 = fresh-vertex step
-    processed: int
-    success: bool
-    partners: list          # newly revealed (vertex, class before the step)
 
 
 @dataclass
@@ -102,7 +96,6 @@ class SpanningTreeResult:
     greedy_steps: int  # processed vertices, the start vertex included
     greedy_components: int  # the forest's components before completion
     connected: bool = True
-    steps: list | None = None
     pairing: object = None  # lazy mode: the uniform Pairing drawn before the run
 
 
@@ -224,11 +217,6 @@ class _State:
         return (t / n, *(c / n for c in self.count_z[1:]), len(self.leaves) / n,
                 self.full_count / n, self.unrevealed_points / n, phase)
 
-    def class_label(self, v):
-        if self.in_forest[v]:
-            return "L" if self.unrevealed[v] == self.r - 1 else "dead_leaf"
-        return f"Z{self.unrevealed[v]}"
-
     def audit(self, fixed):
         """O(n r) recomputation of every incremental counter and pool, and of the forest.
 
@@ -279,14 +267,14 @@ class _State:
                 raise InvariantViolationError("greedy forest has a cycle")
 
 
-def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
+def _greedy(s, rng, fixed, sample_stride, invariant_checks):
     """The greedy loop of both modes, run on the fresh state ``s``.
 
     Point q's partner is fixed[q]; every pool pop, the start vertex's
     included, reads one `_uniforms` stream. The state is sampled every
     ``sample_stride`` steps, or never when it is None. Returns (number of
-    steps, steps or None, trajectory samples or None, first fresh step or
-    None, full count at the end of phase 1).
+    steps, trajectory samples or None, first fresh step or None, full count
+    at the end of phase 1).
     """
     n, r = s.n, s.r
     unrevealed, in_forest, full = s.unrevealed, s.in_forest, s.full
@@ -294,7 +282,6 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
     leaves, fresh, pos = s.leaves, s.fresh, s.pos
     # hot counters live in locals; s gets them back before sample() and audit()
     unrevealed_points, full_count = s.unrevealed_points, s.full_count
-    steps = [] if record_steps else None
     samples = [s.sample(0, 1)] if sample_stride else None
     next_sample = sample_stride or -1
     phase = 1
@@ -317,7 +304,6 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
             pool[i] = last
             pos[last] = i
         partners = []  # vertices of the partners revealed in this step
-        notes = [] if record_steps else None
         inside = 0  # partners already in the forest; the last is ``anchor``
         clash = False  # a self-pair or a partner met twice
         for q in range(v * r, v * r + r):
@@ -329,13 +315,9 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
             unrevealed_points -= 2
             if w == v:
                 clash = True
-                if record_steps:
-                    notes.append((v, "self"))
                 continue
             if w in partners:
                 clash = True
-            if record_steps:
-                notes.append((w, s.class_label(w)))
             old = unrevealed[w]
             unrevealed[w] = old - 1
             if in_forest[w]:
@@ -375,9 +357,6 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
             full_count += 1
         elif op == 2:
             count_z[0] += 1  # retired unseen: all points revealed, never joined
-        if record_steps:
-            steps.append(StepOutcome(op=op, processed=v, success=success,
-                                     partners=notes))
         if invariant_checks:
             s.unrevealed_points, s.full_count = unrevealed_points, full_count
             s.audit(fixed)
@@ -386,20 +365,22 @@ def _greedy(s, rng, fixed, sample_stride, record_steps, invariant_checks):
             samples.append(s.sample(t, phase))
             next_sample += sample_stride
     s.unrevealed_points, s.full_count = unrevealed_points, full_count
-    if samples is not None and t != next_sample - sample_stride:
+    # the first sample is the state before step 0, so the state after the
+    # last step is appended unless the loop sampled it
+    if samples is not None and (t == 0 or t != next_sample - sample_stride):
         samples.append(s.sample(t, phase))
-    return t + 1, steps, samples, first_fresh_step, full_at_phase1_end
+    return t + 1, samples, first_fresh_step, full_at_phase1_end
 
 
-def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
+def _run(pairing, rng, sample_stride, invariant_checks):
     """The greedy on ``pairing``, then completion with the pairing's pairs.
 
     Returns (SpanningTreeResult, trajectory samples or None).
     """
     n, r = pairing.n, pairing.r
     s = _State(n, r)
-    greedy_steps, steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
-        s, rng, memoryview(pairing.matches), sample_stride, record_steps, invariant_checks)
+    greedy_steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
+        s, rng, memoryview(pairing.matches), sample_stride, invariant_checks)
     parent, full, full_count = s.parent, np.frombuffer(s.full, dtype=np.bool_), s.full_count
     del s  # the greedy's scratch, freed before completion
     keys, components = _complete(n, parent, pairing.vertex_pairs, full)
@@ -423,12 +404,11 @@ def _run(pairing, rng, sample_stride, record_steps, invariant_checks):
         greedy_steps=greedy_steps,
         greedy_components=components,
         connected=len(tree) == n - 1,
-        steps=steps,
     )
     return result, samples
 
 
-def run_on_pairing(pairing, rng, record_steps=False):
+def run_on_pairing(pairing, rng):
     """Run the algorithm on a pairing whose projection is a simple r-regular graph.
 
     The result's ``connected`` tells whether that graph is connected: the
@@ -436,11 +416,11 @@ def run_on_pairing(pairing, rng, record_steps=False):
     """
     if pairing.r < 3:
         raise InvalidInputError(f"need r >= 3, got r={pairing.r}")
-    result, _ = _run(pairing, rng, None, record_steps, invariant_checks=False)
+    result, _ = _run(pairing, rng, None, invariant_checks=False)
     return result
 
 
-def run_on_graph(g, rng, record_steps=False):
+def run_on_graph(g, rng):
     """Run the algorithm on a concrete connected r-regular graph.
 
     r is read off the degrees, so any regular ``SimpleGraph`` will do.
@@ -455,14 +435,13 @@ def run_on_graph(g, rng, record_steps=False):
     nbrs = np.array(g.adjacency, dtype=dtype).ravel()
     matches = np.empty(len(nbrs), dtype=dtype)
     matches[np.argsort(nbrs, kind="stable")] = np.arange(len(nbrs), dtype=dtype)
-    result = run_on_pairing(Pairing(n=g.n, r=r, matches=matches), rng, record_steps)
+    result = run_on_pairing(Pairing(n=g.n, r=r, matches=matches), rng)
     if not result.connected:
         raise InvalidInputError("graph mode requires a connected input graph")
     return result
 
 
-def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
-             invariant_checks=False):
+def run_lazy(n, r, rng, sample_stride=None, invariant_checks=False):
     """Run the algorithm against a lazily revealed uniform pairing.
 
     The pairing is drawn first, by ``sample_pairing(n, r, rng)``. A partner
@@ -482,7 +461,7 @@ def run_lazy(n, r, rng, sample_stride=None, record_steps=False,
     if sample_stride < 1:
         raise InvalidInputError(f"need sample_stride >= 1, got {sample_stride}")
     pairing = sample_pairing(n, r, rng)
-    result, samples = _run(pairing, rng, sample_stride, record_steps, invariant_checks)
+    result, samples = _run(pairing, rng, sample_stride, invariant_checks)
     result.pairing = pairing
     trajectory = Trajectory(r=r, n=n, sample_stride=sample_stride,
                             samples=np.asarray(samples))

@@ -288,13 +288,13 @@ def merged_overlay_rows(r, sim_samples_list, sol_samples):
     sol = _columns(r, sol_samples)
     hi = min(base[-1, 0], sol["x"][-1])
     grid = base[:, 0][base[:, 0] <= hi]
+    sims = [_columns(r, samples) for samples in sim_samples_list]
     sim_means = {}
     for name in names:
         acc = np.zeros_like(grid)
-        for samples in sim_samples_list:
-            cols = _columns(r, samples)
+        for cols in sims:
             acc += np.interp(grid, cols["x"], cols[name])
-        sim_means[name] = acc / len(sim_samples_list)
+        sim_means[name] = acc / len(sims)
     header = ["x"] + [f"sim_{n}" for n in names] + [f"sol_{n}" for n in names]
     columns = ([grid] + [sim_means[n] for n in names]
                + [np.interp(grid, sol["x"], sol[n]) for n in names])

@@ -557,10 +557,9 @@ def test_star_search_shares_the_cds_guard(capsys):
 def test_oracles_require_connected_input():
     two_triangles = graph_from_edges(
         6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-    with pytest.raises(InvalidInputError):
-        phi_exact_trees(two_triangles)
-    with pytest.raises(InvalidInputError):
-        phi_exact_stars(two_triangles)
+    for oracle in (phi_exact_trees, phi_exact_stars, lambda_gamma_exact):
+        with pytest.raises(InvalidInputError, match="requires a connected graph"):
+            oracle(two_triangles)
 
 
 def test_prism_torus_construction():

@@ -166,16 +166,3 @@ def test_graph_mode_takes_no_trajectory_samples(monkeypatch):
     monkeypatch.setattr(_State, "sample", boom)
     res = run_on_graph(named_graph("petersen"), np.random.default_rng(2))
     assert_spanning_tree(named_graph("petersen"), res.tree)
-
-
-def test_step_log_records_outcomes():
-    g = named_graph("petersen")
-    res = run_on_graph(g, np.random.default_rng(2), record_steps=True)
-    assert res.steps, "expected step records"
-    # the initial star is logged as the first (always successful) step
-    assert res.steps[0].op == 2 and res.steps[0].success
-    assert sum(1 for s in res.steps if s.success) == res.full_degree_count
-    # a step lists only newly revealed partners; a leaf's parent edge is known
-    for step in res.steps:
-        assert step.op in (1, 2)
-        assert len(step.partners) == (g.r - 1 if step.op == 1 else g.r)

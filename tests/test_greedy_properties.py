@@ -1,11 +1,14 @@
 """Property tests of the greedy loop and its completion.
 
 Graph mode runs the lazy-mode loop with the graph's own pairing. The
-reference below is the earlier stand-alone graph-mode loop, whose success
-rule is "at most one neighbour already in the tree"; on any connected
-simple regular graph both must make the same random draws and build the
-same tree. Both read their random choices from the same block-drawn
-stream of uniforms, and a pool pops index int(u * len) for the next u.
+graph-level reference below is the earlier stand-alone graph-mode loop,
+whose success rule is "at most one neighbour already in the tree"; on any
+connected simple regular graph both must make the same random draws and
+build the same tree. The point-level reference replays lazy mode on the
+same pairing with a reveal mark per point, and states the success rule per
+point, self-pairs and repeated partners included. All of them read their
+random choices from the same block-drawn stream of uniforms, and a pool
+pops index int(u * len) for the next u.
 
 Completion has its own reference, the earlier vertex-level one: a
 union-find over the forest's edges, then Kruskal over all candidate edges
@@ -14,7 +17,7 @@ labelled while building the forest, scanning only the edges between them.
 """
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from pairing_reference import projected_pairs, validate_pairing
 
@@ -82,7 +85,10 @@ def reference_join_forest(n, forest, edges, saturated):
 
 
 def reference_run_on_graph(g, rng):
-    """Graph mode as a loop of its own: (tree, full vertices, phase-1 count, rho1)."""
+    """Graph mode as a loop of its own.
+
+    Returns (tree, full vertices, phase-1 count, rho1, steps, forest edges).
+    """
     n, adj = g.n, g.adjacency
     draw = _uniforms(rng).__next__
     in_tree = bytearray(n)
@@ -130,7 +136,67 @@ def reference_run_on_graph(g, rng):
     phase1 = full_at_phase1_end if full_at_phase1_end is not None else len(full_vertices)
     rho1 = first_fresh_step / n if first_fresh_step is not None else None
     tree, _ = reference_join_forest(n, sorted(forest), g.edges(), full)
-    return tree, full_vertices, phase1, rho1
+    return tree, full_vertices, phase1, rho1, t + 1, len(forest)
+
+
+def reference_run_on_points(n, r, matches, rng):
+    """Lazy mode replayed on the pairing ``matches``, one point at a time.
+
+    A step reveals each unrevealed point q of the processed vertex v with
+    its partner matches[q]. It fails when a partner point is v's own (a
+    self-pair), when two of v's points meet one vertex, or when more than
+    op - 1 partner vertices are already in the forest (op 1 for a leaf, 2
+    for a fresh vertex). A successful step makes v full and joins it to
+    each partner by a forest edge; a partner new to the forest becomes a
+    leaf when exactly one of its points is revealed. Returns (forest edges,
+    full vertices, steps, first fresh step or None, phase-1 full count,
+    unrevealed points at the end).
+    """
+    draw = _uniforms(rng).__next__
+    revealed = bytearray(n * r)
+    in_forest = bytearray(n)
+    full = []
+    forest = []
+    leaf_pool = IndexedSet()
+    fresh_pool = IndexedSet(range(n))
+    t = 0
+    first_fresh_step = phase1 = None
+    while len(leaf_pool) or len(fresh_pool):
+        if len(leaf_pool):
+            op, v = 1, leaf_pool.pop_random(draw())
+        else:
+            if t and first_fresh_step is None:
+                first_fresh_step, phase1 = t, len(full)
+            op, v = 2, fresh_pool.pop_random(draw())
+        partners = []
+        clash = False
+        for q in range(v * r, v * r + r):
+            if revealed[q]:
+                continue
+            p = matches[q]
+            revealed[q] = revealed[p] = 1
+            w = p // r
+            if w == v or w in partners:
+                clash = True
+            if w != v:
+                partners.append(w)
+                # a point of w is revealed: w leaves whichever pool holds it
+                leaf_pool.discard(w)
+                fresh_pool.discard(w)
+        inside = sum(in_forest[w] for w in partners)
+        if not clash and inside <= op - 1:
+            for w in partners:
+                forest.append((min(v, w), max(v, w)))
+                if not in_forest[w]:
+                    in_forest[w] = 1
+                    if sum(revealed[w * r:w * r + r]) == 1:
+                        leaf_pool.add(w)
+            in_forest[v] = 1
+            full.append(v)
+        t += 1
+    if phase1 is None:
+        phase1 = len(full)
+    return forest, sorted(full), t, first_fresh_step, phase1, n * r - sum(revealed)
 
 
 @st.composite
@@ -147,7 +213,7 @@ def connected_regular_graphs(draw):
 @given(g=connected_regular_graphs(), seed=st.integers(0, 2**32))
 def test_graph_mode_matches_reference_loop(g, seed):
     ref_rng = np.random.default_rng(seed)
-    tree, full_vertices, phase1, rho1 = reference_run_on_graph(g, ref_rng)
+    tree, full_vertices, phase1, rho1, steps, forest_size = reference_run_on_graph(g, ref_rng)
     rng = np.random.default_rng(seed)
     res = run_on_graph(g, rng)
     assert res.tree.tolist() == [list(e) for e in tree]
@@ -155,6 +221,31 @@ def test_graph_mode_matches_reference_loop(g, seed):
     assert res.full_degree_count == len(full_vertices)
     assert res.phase1_full_degree_count == phase1
     assert res.rho1_empirical == rho1
+    assert res.greedy_steps == steps
+    assert res.greedy_components == g.n - forest_size
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(3, 6), n=st.integers(2, 40), seed=st.integers(0, 2**32))
+@example(r=257, n=4, seed=1)  # unrevealed counts in a list, not a bytearray
+@example(r=3, n=2, seed=0)  # one step: the start vertex has a self-pair
+def test_lazy_mode_matches_point_reference(r, n, seed):
+    n += (n * r) % 2
+    rng = np.random.default_rng(seed)
+    res, traj = run_lazy(n, r, rng)
+    ref_rng = np.random.default_rng(seed)
+    matches = sample_pairing(n, r, ref_rng).matches.tolist()
+    forest, full, steps, first_fresh_step, phase1, unrevealed = reference_run_on_points(
+        n, r, matches, ref_rng)
+    assert res.full_vertices.tolist() == full
+    assert res.greedy_steps == steps
+    assert res.rho1_empirical == (first_fresh_step / n if first_fresh_step else None)
+    assert res.phase1_full_degree_count == phase1
+    assert res.greedy_components == n - len(forest)
+    assert set(forest) <= {tuple(e) for e in res.tree.tolist()}
+    assert traj.column("x")[-1] == (steps - 1) / n
+    assert traj.column("zM")[-1] == unrevealed / n
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -173,6 +264,7 @@ def test_run_on_pairing_spans_the_sampled_graph(r, n, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(r=st.integers(3, 6), n=st.integers(2, 40), seed=st.integers(0, 2**32))
+@example(r=257, n=4, seed=1)  # unrevealed counts in a list, not a bytearray
 def test_lazy_mode_invariants(r, n, seed):
     n += (n * r) % 2
     res, _ = run_lazy(n, r, np.random.default_rng(seed), sample_stride=1,
@@ -247,7 +339,7 @@ def test_audit_rejects_a_cycle_in_the_parents():
 
     def finished_state():
         s = _State(n, r)
-        _greedy(s, np.random.default_rng(6), fixed, None, False, False)
+        _greedy(s, np.random.default_rng(6), fixed, None, False)
         s.audit(fixed)
         return s
 
@@ -286,4 +378,4 @@ def test_audit_recounts_the_unrevealed_points_from_the_pairing():
 
     s.audit = corrupt_at_first_dormant_leaf
     with pytest.raises(Corrupted):
-        _greedy(s, np.random.default_rng(8), fixed, None, False, True)
+        _greedy(s, np.random.default_rng(8), fixed, None, True)
