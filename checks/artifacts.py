@@ -2,6 +2,7 @@
 
     python checks/artifacts.py --src PATH       # sha256 per artifact of PATH's fdst
     python checks/artifacts.py --compare A B    # the artifacts that differ between two
+    python checks/artifacts.py --write          # this checkout's, into checks/digests.txt
 
 PATH, A and B are ``src`` directories of checkouts (each holds ``fdst/``).
 Each is copied to a temporary directory and run there in one fresh
@@ -14,7 +15,11 @@ code of every command is an artifact too (``exit_codes.txt``).
 
 ``--src`` prints one ``sha256  path`` line per artifact. ``--compare``
 prints each artifact that differs or exists on one side only, and exits 1
-when there is one.
+when there is one. ``--write`` writes the lines of ``--src`` for this
+checkout's ``src`` to ``checks/digests.txt``, under a header line with the
+Python and numpy versions; ``checks/tests`` fails on any artifact whose
+digest differs from it. A change that alters outputs on purpose writes the
+file again, so its diff names the changed artifacts.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -30,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+MANIFEST = ROOT / "checks" / "digests.txt"
 
 NAMED_GRAPHS = ["k4", "k5", "k6", "k33", "prism", "cube", "petersen", "moebius-kantor", "c6"]
 CONSTRUCTIONS = ["prism r=3 m=6", "grid delta=4 m=4"]
@@ -40,6 +47,9 @@ SIM_SEED = 20
 # searches' size guard (2)
 FAILING = {"integrate_r10_step0.2": (["integrate", "--r", "10", "--step", "0.2"], 3),
            "construction_prism_m11": (["exact", "--construction", "prism r=3 m=11"], 2)}
+# subcommands that compute in pure Python, so their outputs do not depend on
+# numpy's version; simulate and compare read numpy's random streams and sums
+NUMPY_FREE = {"reproduce-table1", "integrate", "exact"}
 
 
 def commands(inputs):
@@ -142,15 +152,60 @@ def artifact_digests(src, inputs):
         return digests(run(src, tmp, inputs))
 
 
+def versions():
+    """{"python": version, "numpy": version} of this interpreter, which runs the list."""
+    import numpy
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def write_manifest(found, path=MANIFEST):
+    """Write the digests ``found`` under a header line of ``versions()``."""
+    header = " ".join(f"{name} {version}" for name, version in versions().items())
+    path.write_text("".join([f"# {header}\n"] + [f"{sha}  {p}\n" for p, sha in found.items()]))
+
+
+def read_manifest(path=MANIFEST):
+    """(versions, {path: digest}) of a file that ``write_manifest`` wrote."""
+    header, *lines = path.read_text().splitlines()
+    words = header.removeprefix("# ").split()
+    return dict(zip(words[::2], words[1::2])), dict(
+        line.split("  ", 1)[::-1] for line in lines)
+
+
+def check_manifest(found, inputs, path=MANIFEST):
+    """(paths whose digests differ from the manifest's, number of paths not compared).
+
+    Under another numpy version than the manifest's, only the outputs of
+    the NUMPY_FREE subcommands are compared; the rest are counted.
+    """
+    recorded, expected = read_manifest(path)
+    skipped = 0
+    if recorded["numpy"] != versions()["numpy"]:
+        labels = {label for label, argv in commands(inputs) if argv[0] in NUMPY_FREE}
+
+        def compared(shas):
+            return {p: sha for p, sha in shas.items() if p.split("/")[0] in labels}
+
+        skipped = len(expected) - len(compared(expected))
+        expected, found = compared(expected), compared(found)
+    return differing(expected, found), skipped
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--src", metavar="PATH", help="a checkout's src directory")
     group.add_argument("--compare", nargs=2, metavar=("A", "B"),
                        help="two checkouts' src directories")
+    group.add_argument("--write", action="store_true",
+                       help=f"record this checkout's digests in {MANIFEST.relative_to(ROOT)}")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="fdst-inputs-") as inputs:
         write_inputs(inputs)
+        if args.write:
+            write_manifest(artifact_digests(ROOT / "src", inputs))
+            return 0
         if args.src:
             for path, sha in artifact_digests(args.src, inputs).items():
                 print(f"{sha}  {path}")

@@ -1,4 +1,5 @@
-"""Tests of the artifact digests: the command list runs, and a change shows.
+"""Tests of the artifact digests: the command list runs, a change shows, and
+the digests match the committed manifest ``checks/digests.txt``.
 
     python -m pytest checks/tests
 """
@@ -90,3 +91,40 @@ def test_a_failing_run_shows_the_runner_stderr(inputs, tmp_path):
     cli.write_text(cli.read_text() + 'raise RuntimeError("cli broken")\n')
     with pytest.raises(SystemExit, match="cli broken"):
         artifacts.run(src, tmp_path / "run", inputs)
+
+
+def test_the_artifacts_match_the_manifest(out, inputs, capsys):
+    diff, skipped = artifacts.check_manifest(artifacts.digests(out), inputs)
+    if skipped:  # shown past pytest's capture, which would hide it on a pass
+        recorded, _ = artifacts.read_manifest()
+        with capsys.disabled():
+            print(f"\nnumpy {artifacts.versions()['numpy']} is not the manifest's "
+                  f"{recorded['numpy']}: {skipped} numpy-dependent artifacts not compared")
+    assert not diff, (f"{len(diff)} artifacts differ from {artifacts.MANIFEST.name} "
+                      f"(run checks/artifacts.py --write if that is intended): "
+                      + ", ".join(diff))
+
+
+def test_one_changed_byte_names_its_artifact(out, inputs, tmp_path):
+    found = artifacts.digests(out)
+    manifest = tmp_path / "digests.txt"
+    artifacts.write_manifest(found, manifest)
+    assert artifacts.read_manifest(manifest) == (artifacts.versions(), found)
+    for path in found:
+        data = bytearray((out / path).read_bytes())
+        data[-1] ^= 1  # the last byte lies in no JSON timestamp line
+        changed = (tmp_path / "changed").with_suffix(Path(path).suffix)
+        changed.write_bytes(data)
+        changed_found = {**found, path: artifacts.digest(changed)}
+        assert artifacts.check_manifest(changed_found, inputs, manifest) == ([path], 0)
+
+
+def test_another_numpy_compares_the_numpy_free_artifacts(out, inputs, tmp_path, monkeypatch):
+    # simulate, compare and the exit codes are counted, not compared
+    found = artifacts.digests(out)
+    manifest = tmp_path / "digests.txt"
+    artifacts.write_manifest(found, manifest)
+    monkeypatch.setattr(artifacts, "versions", lambda: {"python": "3", "numpy": "0"})
+    diff, skipped = artifacts.check_manifest(dict.fromkeys(found, "0" * 64), inputs, manifest)
+    assert (len(diff), skipped) == (76, 19)
+    assert not any(path.startswith(("lazy_", "graph_", "compare")) for path in diff)

@@ -62,7 +62,7 @@ class ExactResult:
 
 
 def _require_connected(g):
-    if not is_connected(g):
+    if g.n < 1 or not is_connected(g):  # the empty graph is not connected
         raise InvalidInputError("oracle requires a connected graph")
 
 

@@ -212,9 +212,9 @@ class _State:
         self.fresh = _typed(ids)
         self.pos = _typed(ids)
 
-    def sample(self, t, phase):
+    def sample(self, steps, phase):
         n = self.n
-        return (t / n, *(c / n for c in self.count_z[1:]), len(self.leaves) / n,
+        return (steps / n, *(c / n for c in self.count_z[1:]), len(self.leaves) / n,
                 self.full_count / n, self.unrevealed_points / n, phase)
 
     def audit(self, fixed):
@@ -271,10 +271,10 @@ def _greedy(s, rng, fixed, sample_stride, invariant_checks):
     """The greedy loop of both modes, run on the fresh state ``s``.
 
     Point q's partner is fixed[q]; every pool pop, the start vertex's
-    included, reads one `_uniforms` stream. The state is sampled every
-    ``sample_stride`` steps, or never when it is None. Returns (number of
-    steps, trajectory samples or None, first fresh step or None, full count
-    at the end of phase 1).
+    included, reads one `_uniforms` stream. The state after k steps is
+    sampled at x = k/n, as in the drift system, when k is a multiple of
+    ``sample_stride`` (never when it is None) and at the end. Returns (steps,
+    samples or None, first fresh step or None, full count at phase 1's end).
     """
     n, r = s.n, s.r
     unrevealed, in_forest, full = s.unrevealed, s.in_forest, s.full
@@ -287,14 +287,13 @@ def _greedy(s, rng, fixed, sample_stride, invariant_checks):
     phase = 1
     first_fresh_step = full_at_phase1_end = None
     draw = _uniforms(rng).__next__
-    t = -1
+    steps = 0
     while leaves or fresh:
-        t += 1
         if leaves:
             op, pool = 1, leaves
         else:
-            if t and first_fresh_step is None:
-                first_fresh_step, full_at_phase1_end, phase = t, full_count, 2
+            if steps and first_fresh_step is None:
+                first_fresh_step, full_at_phase1_end, phase = steps, full_count, 2
             op, pool = 2, fresh
             count_z[r] -= 1
         i = int(draw() * len(pool))
@@ -360,16 +359,15 @@ def _greedy(s, rng, fixed, sample_stride, invariant_checks):
         if invariant_checks:
             s.unrevealed_points, s.full_count = unrevealed_points, full_count
             s.audit(fixed)
-        if t == next_sample:
+        steps += 1
+        if steps == next_sample:
             s.unrevealed_points, s.full_count = unrevealed_points, full_count
-            samples.append(s.sample(t, phase))
+            samples.append(s.sample(steps, phase))
             next_sample += sample_stride
     s.unrevealed_points, s.full_count = unrevealed_points, full_count
-    # the first sample is the state before step 0, so the state after the
-    # last step is appended unless the loop sampled it
-    if samples is not None and (t == 0 or t != next_sample - sample_stride):
-        samples.append(s.sample(t, phase))
-    return t + 1, samples, first_fresh_step, full_at_phase1_end
+    if samples is not None and steps % sample_stride:  # the loop took multiples only
+        samples.append(s.sample(steps, phase))
+    return steps, samples, first_fresh_step, full_at_phase1_end
 
 
 def _run(pairing, rng, sample_stride, invariant_checks):
@@ -452,7 +450,8 @@ def run_lazy(n, r, rng, sample_stride=None, invariant_checks=False):
     Returns (SpanningTreeResult, Trajectory). The result's tree is a
     spanning forest of the projected multigraph (a spanning tree when the
     multigraph is connected); the trajectory samples the scaled class sizes
-    every ``sample_stride`` steps (default: ceil(n/1000); at least 1).
+    every ``sample_stride`` steps (default: ceil(n/1000); at least 1). The
+    state after k steps is at x = k/n, and the end state is always sampled.
     """
     if r < 3:
         raise InvalidInputError(f"need r >= 3, got r={r}")

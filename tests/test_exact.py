@@ -560,6 +560,9 @@ def test_oracles_require_connected_input():
     for oracle in (phi_exact_trees, phi_exact_stars, lambda_gamma_exact):
         with pytest.raises(InvalidInputError, match="requires a connected graph"):
             oracle(two_triangles)
+    for oracle in (phi_exact_trees, phi_exact_stars, lambda_gamma_exact, exact_result):
+        with pytest.raises(InvalidInputError, match="requires a connected graph"):
+            oracle(graph_from_edges(0, []))
 
 
 def test_prism_torus_construction():

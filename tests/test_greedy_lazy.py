@@ -52,12 +52,12 @@ def test_full_fraction_monotone_and_m_linear_decrease():
     z_f = traj.column("zF")
     assert np.all(np.diff(z_f) >= -1e-12)
     # every pair reveal removes two points and a step reveals at most r
-    # pairs; the second sample follows steps 0 and 1, each later one a step
+    # pairs; each sample follows one step, the first the start star (r pairs here)
     drop = -np.diff(traj.column("zM")) * traj.n
     pairs = np.round(drop / 2)
     assert np.allclose(drop, 2 * pairs)
-    assert 0 <= pairs[0] <= 2 * traj.r
-    assert np.all((pairs[1:] >= 0) & (pairs[1:] <= traj.r))
+    assert pairs[0] == traj.r
+    assert np.all((pairs >= 0) & (pairs <= traj.r))
 
 
 def test_reveals_are_uniform_over_pairings():

@@ -2,9 +2,10 @@
 
 The pinned values come from the code before the greedy's state and
 completion were cut down for memory; a change to how a run draws, steps or
-completes shows here as a changed count or digest. The n = 50 000 pins lie
-above n = 46 341, where a key u*n + v of two vertices no longer fits in
-int32.
+completes shows here as a changed count or digest. The trajectory digests
+come from the code that samples the state after k steps at x = k/n. The
+n = 50 000 pins lie above n = 46 341, where a key u*n + v of two vertices
+no longer fits in int32.
 """
 import hashlib
 import tracemalloc
@@ -25,10 +26,10 @@ def sha256(a):
 LAZY_PINS = {
     3: (9196, 9239, 8746, 0.64705,
         "15705d02ff815d49a879a69c98a78312d0ef4b90e774afe824ce5f9931a5afc1",
-        "1b87dfcb7a2dec81fc9b468925ef4f07f1603f60000f8260e88a8d7fbe8ba388"),
+        "159352a61b46a38fbd3c281b398409da283c98cace8ec0c93b775afa3fe63e95"),
     4: (5373, 11353, 4860, 0.46835,
         "dbe994bee1be4dc79eb06176e24ec252a4963ff8619155eb5e3425ab6c97b0bc",
-        "20b3540fc56ff6591e47d43ea5677c89285ea7fcea64f7e3027335009888edd7"),
+        "b9b051efbbd56581e03ed32bb9093c877aad4942e499e755590445a9fdd94221"),
 }
 
 # graph-mode simulate_trials(3, 1000, 3, seed=7): per trial (full_degree_count,
@@ -49,7 +50,7 @@ GRAPH_PINS = [
 LARGE_LAZY_PIN = (
     22978, 23111, 22001, 0.65168, 34627, 3349,
     "b32a2251d9aecb842e6f281703546045c05da717c9c834cd5e62ae91351a659d",
-    "812f608b676ee1cf519ddb2c3e58c70e09f8f2bae772fa783c394ec5f482b936")
+    "37ee08bca6e04d783a5a59601da9f954ce84a6df558799e3321822ba8e3fd04c")
 
 # graph-mode simulate_trials(3, 50_000, 1, seed=7), in GRAPH_PINS' fields
 LARGE_GRAPH_PIN = [

@@ -244,9 +244,22 @@ def test_lazy_mode_matches_point_reference(r, n, seed):
     assert res.phase1_full_degree_count == phase1
     assert res.greedy_components == n - len(forest)
     assert set(forest) <= {tuple(e) for e in res.tree.tolist()}
-    assert traj.column("x")[-1] == (steps - 1) / n
+    assert traj.column("x")[-1] == steps / n
     assert traj.column("zM")[-1] == unrevealed / n
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.integers(3, 5), n=st.integers(1, 40), stride=st.integers(1, 50),
+       seed=st.integers(0, 2**32))
+@example(r=3, n=40, stride=1, seed=3)  # 27 steps, so 28 rows
+def test_trajectory_samples_every_stride_steps_and_the_end(r, n, stride, seed):
+    # the state after k steps is at x = k/n: the rows are k = 0, s, 2s, ...
+    # below the step count, then the end state
+    n += (n * r) % 2
+    res, traj = run_lazy(n, r, np.random.default_rng(seed), sample_stride=stride)
+    ks = [*range(0, res.greedy_steps, stride), res.greedy_steps]
+    assert traj.column("x").tolist() == [k / n for k in ks]
 
 
 @settings(max_examples=80, deadline=None)
