@@ -17,9 +17,10 @@ code of every command is an artifact too (``exit_codes.txt``).
 prints each artifact that differs or exists on one side only, and exits 1
 when there is one. ``--write`` writes the lines of ``--src`` for this
 checkout's ``src`` to ``checks/digests.txt``, under a header line with the
-Python and numpy versions; ``checks/tests`` fails on any artifact whose
-digest differs from it. A change that alters outputs on purpose writes the
-file again, so its diff names the changed artifacts.
+numpy version; ``checks/tests`` fails on any artifact whose digest differs
+from it, and skips that comparison under another numpy version, whose
+random streams and float sums may differ. A change that alters outputs on
+purpose writes the file again, so its diff names the changed artifacts.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import argparse
 import hashlib
 import json
 import os
-import platform
 import shutil
 import subprocess
 import sys
@@ -47,9 +47,6 @@ SIM_SEED = 20
 # searches' size guard (2)
 FAILING = {"integrate_r10_step0.2": (["integrate", "--r", "10", "--step", "0.2"], 3),
            "construction_prism_m11": (["exact", "--construction", "prism r=3 m=11"], 2)}
-# subcommands that compute in pure Python, so their outputs do not depend on
-# numpy's version; simulate and compare read numpy's random streams and sums
-NUMPY_FREE = {"reproduce-table1", "integrate", "exact"}
 
 
 def commands(inputs):
@@ -152,44 +149,23 @@ def artifact_digests(src, inputs):
         return digests(run(src, tmp, inputs))
 
 
-def versions():
-    """{"python": version, "numpy": version} of this interpreter, which runs the list."""
+def numpy_version():
+    """numpy's version in this interpreter, which runs the list."""
     import numpy
 
-    return {"python": platform.python_version(), "numpy": numpy.__version__}
+    return numpy.__version__
 
 
 def write_manifest(found, path=MANIFEST):
-    """Write the digests ``found`` under a header line of ``versions()``."""
-    header = " ".join(f"{name} {version}" for name, version in versions().items())
-    path.write_text("".join([f"# {header}\n"] + [f"{sha}  {p}\n" for p, sha in found.items()]))
+    """Write the digests ``found`` under a header line with ``numpy_version()``."""
+    path.write_text("".join([f"# numpy {numpy_version()}\n"]
+                            + [f"{sha}  {p}\n" for p, sha in found.items()]))
 
 
 def read_manifest(path=MANIFEST):
-    """(versions, {path: digest}) of a file that ``write_manifest`` wrote."""
+    """(numpy version, {path: digest}) of a file that ``write_manifest`` wrote."""
     header, *lines = path.read_text().splitlines()
-    words = header.removeprefix("# ").split()
-    return dict(zip(words[::2], words[1::2])), dict(
-        line.split("  ", 1)[::-1] for line in lines)
-
-
-def check_manifest(found, inputs, path=MANIFEST):
-    """(paths whose digests differ from the manifest's, number of paths not compared).
-
-    Under another numpy version than the manifest's, only the outputs of
-    the NUMPY_FREE subcommands are compared; the rest are counted.
-    """
-    recorded, expected = read_manifest(path)
-    skipped = 0
-    if recorded["numpy"] != versions()["numpy"]:
-        labels = {label for label, argv in commands(inputs) if argv[0] in NUMPY_FREE}
-
-        def compared(shas):
-            return {p: sha for p, sha in shas.items() if p.split("/")[0] in labels}
-
-        skipped = len(expected) - len(compared(expected))
-        expected, found = compared(expected), compared(found)
-    return differing(expected, found), skipped
+    return header.removeprefix("# numpy "), dict(line.split("  ", 1)[::-1] for line in lines)
 
 
 def main(argv=None):
