@@ -8,10 +8,10 @@ PATH, A and B are ``src`` directories of checkouts (each holds ``fdst/``).
 Each is copied to a temporary directory and run there in one fresh
 interpreter, which calls ``fdst.cli.main`` once per command of
 ``commands()``; every command gets its own ``--out`` directory, which the
-commands of ``FAILING`` leave empty. A JSON file's ``"timestamp"`` line is
-dropped before hashing, so the digests of two runs of the same code agree;
-everything else is compared byte for byte, so -0.0 and 0.0 differ. The exit
-code of every command is an artifact too (``exit_codes.txt``).
+commands of ``FAILING`` leave empty. Every file is hashed byte for byte, so
+-0.0 and 0.0 differ; ``fdst`` writes nothing that differs between two runs
+of the same code, so their digests agree. The exit code of every command is
+an artifact too (``exit_codes.txt``).
 
 ``--src`` prints one ``sha256  path`` line per artifact. ``--compare``
 prints each artifact that differs or exists on one side only, and exits 1
@@ -125,12 +125,8 @@ def run(src, workdir, inputs):
 
 
 def digest(path):
-    """sha256 of a file's bytes, without the timestamp line of a JSON file."""
-    data = Path(path).read_bytes()
-    if path.suffix == ".json":
-        data = b"".join(line for line in data.splitlines(keepends=True)
-                        if not line.strip().startswith(b'"timestamp":'))
-    return hashlib.sha256(data).hexdigest()
+    """sha256 of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def digests(out):

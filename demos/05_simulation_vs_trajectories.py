@@ -37,8 +37,5 @@ print(f"mean final F/n = {report['mean_final_full_fraction']:.4f} "
 os.makedirs("demo_out", exist_ok=True)
 header, rows = harness.merged_overlay_rows(R, [t.samples for t in trajs], sol_samples)
 out = os.path.join("demo_out", f"overlay_r{R}.csv")
-with open(out, "w") as fh:
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(f"{v:.6f}" for v in row) + "\n")
+harness.write_csv(header, rows, out)
 print(f"wrote {out} ({len(rows)} rows): columns {header[:3]} ... suitable for plotting")

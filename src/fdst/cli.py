@@ -35,7 +35,7 @@ def _read_config(path):
                     raise InvalidInputError(f"{path}: expected key=value, got {line!r}")
                 key, raw = (part.strip() for part in line.split("=", 1))
                 values[key.replace("-", "_")] = raw
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     return values
 
@@ -226,10 +226,7 @@ def cmd_compare(args):
     if out:
         harness.write_json(report, os.path.join(out, f"compare_r{sol_r}.json"))
         header, rows = harness.merged_overlay_rows(sol_r, sim_samples, sol)
-        with open(os.path.join(out, f"compare_merged_r{sol_r}.csv"), "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        harness.write_csv(header, rows, os.path.join(out, f"compare_merged_r{sol_r}.csv"))
     return 0 if report["passed"] else 1
 
 

@@ -4,7 +4,7 @@ comparison, and the CSV/JSON artifact formats shared with the CLI.
 All randomness is derived from one user seed; trial k runs on a 64-bit
 seed drawn from ``np.random.SeedSequence([seed, k])``, so distinct base
 seeds give unrelated trial seeds, and re-running a config reproduces every
-artifact byte for byte apart from the timestamp field.
+artifact byte for byte; `write_json` and `write_csv` write every artifact.
 
 A lazy-mode trial is `fdst.greedy.run_lazy`. A graph-mode trial draws a
 pairing with a simple projection (`fdst.graphs.sample_simple_pairing`) and
@@ -38,11 +38,16 @@ def derive_trial_seed(seed, k):
 # ---------------------------------------------------------------------------
 
 def write_json(obj, path):
-    payload = dict(obj)
-    payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(header, rows, path):
+    """Write one line of column names, then one line per row of Python numbers."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_trajectory_csv(table, path):
@@ -50,12 +55,8 @@ def write_trajectory_csv(table, path):
 
     Both carry ``r`` and ``samples`` in the ``fdst.ode.columns(r)`` layout.
     """
-    with open(path, "w") as fh:
-        fh.write(",".join(columns(table.r)) + "\n")
-        for row in table.samples:
-            cells = [repr(float(v)) for v in row[:-1]]
-            cells.append(str(int(row[-1])))
-            fh.write(",".join(cells) + "\n")
+    rows = ([*row[:-1].tolist(), int(row[-1])] for row in table.samples)  # phase as an int
+    write_csv(columns(table.r), rows, path)
 
 
 def read_trajectory_csv(path):
@@ -64,19 +65,20 @@ def read_trajectory_csv(path):
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             rows = [line for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     r = len(header) - len(columns(0))  # z1..zr are the only r-dependent columns
     if header != columns(r):
         raise InvalidInputError(f"{path}: unexpected header {header}")
+    shape_error = InvalidInputError(f"{path}: expected rows of {len(header)} numbers")
+    if not rows:  # np.loadtxt warns on empty input, so it never sees one
+        raise shape_error
     try:
-        # np.loadtxt warns on empty input, so it never sees one
-        data = (np.loadtxt(rows, delimiter=",", ndmin=2, comments=None) if rows
-                else np.empty((0, len(header))))
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
-    if len(data) == 0 or data.shape[1] != len(header):
-        raise InvalidInputError(f"{path}: expected rows of {len(header)} numbers")
+    if data.shape[1] != len(header):
+        raise shape_error
     return r, data
 
 

@@ -12,13 +12,6 @@ from fdst.greedy import run_on_graph
 from fdst.catalog import named_graph
 
 
-def read_json_without_timestamp(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    obj.pop("timestamp", None)
-    return obj
-
-
 def test_trial_seed_derivation():
     # base seeds that differ only in low bits must not share trial seeds
     zero = [harness.derive_trial_seed(0, k) for k in range(50)]
@@ -223,7 +216,7 @@ def test_cli_simulate_and_compare(tmp_path, ode_r3):
     rc = main(["compare", "--sim-dir", str(sim_dir), "--ode-csv", str(sol_csv),
                "--sup-tol", "0.08", "--mean-tol", "0.05", "--out", str(cmp_dir)])
     assert rc == 0
-    report = read_json_without_timestamp(cmp_dir / "compare_r3.json")
+    report = json.loads((cmp_dir / "compare_r3.json").read_text())
     assert report["passed"]
     assert set(report["max_deviations"]) == {"z1", "z2", "z3", "zL", "zF", "zM_over_r"}
     # impossible tolerance: tolerance-failure exit code
@@ -248,7 +241,7 @@ def test_cli_simulate_zero_trials(tmp_path):
     out = tmp_path / "empty"
     rc = main(["simulate", "--trials", "0", "--n", "100", "--out", str(out)])
     assert rc == 0
-    assert read_json_without_timestamp(out / "aggregate.json") == {"trials": 0}
+    assert json.loads((out / "aggregate.json").read_text()) == {"trials": 0}
 
 
 def test_cli_simulate_rejects_empty_graph(tmp_path, capsys):
@@ -270,7 +263,7 @@ def test_cli_simulate_rejects_sample_stride_below_one(tmp_path, capsys):
 def test_cli_integrate_writes_artifacts(tmp_path):
     rc = main(["integrate", "--r", "4", "--step", "1e-3", "--out", str(tmp_path)])
     assert rc == 0
-    result = read_json_without_timestamp(tmp_path / "result_r4.json")
+    result = json.loads((tmp_path / "result_r4.json").read_text())
     assert result["r"] == 4
     assert abs(result["f_r"] - 0.2699) < 5e-4
     assert abs(result["u_r"] - 1 / 3) < 1e-12
@@ -284,7 +277,7 @@ def test_cli_integrate_rejects_r2():
 def test_cli_reproduce_table1_coarse(tmp_path, capsys):
     rc = main(["reproduce-table1", "--step", "2e-3", "--out", str(tmp_path)])
     assert rc == 0
-    table = read_json_without_timestamp(tmp_path / "table1.json")
+    table = json.loads((tmp_path / "table1.json").read_text())
     assert len(table["rows"]) == 8
     assert table["all_within_tolerance"]
     out = capsys.readouterr().out
@@ -294,14 +287,14 @@ def test_cli_reproduce_table1_coarse(tmp_path, capsys):
 def test_cli_exact_named_and_file(tmp_path):
     rc = main(["exact", "--graph", "k4", "--out", str(tmp_path)])
     assert rc == 0
-    payload = read_json_without_timestamp(tmp_path / "exact_k4.json")
+    payload = json.loads((tmp_path / "exact_k4.json").read_text())
     assert (payload["phi"], payload["lambda"], payload["gamma_c"]) == (1, 3, 1)
     assert payload["tree_count"] == 16
     gpath = tmp_path / "pet.txt"
     write_graph(named_graph("petersen"), gpath)
     rc = main(["exact", "--graph-file", str(gpath), "--out", str(tmp_path)])
     assert rc == 0
-    payload = read_json_without_timestamp(tmp_path / "exact_pet_txt.json")
+    payload = json.loads((tmp_path / "exact_pet_txt.json").read_text())
     assert (payload["phi"], payload["lambda"], payload["gamma_c"]) == (4, 6, 4)
     assert payload["tree_count"] == 2000
 
@@ -310,7 +303,7 @@ def test_cli_exact_on_16_vertex_graph(tmp_path):
     # above the tree cross-check's guard: phi comes from the star search alone
     rc = main(["exact", "--graph", "moebius-kantor", "--out", str(tmp_path)])
     assert rc == 0
-    payload = read_json_without_timestamp(tmp_path / "exact_moebius_kantor.json")
+    payload = json.loads((tmp_path / "exact_moebius_kantor.json").read_text())
     assert (payload["phi"], payload["lambda"], payload["gamma_c"]) == (6, 8, 8)
     assert payload["tree_count"] is None
     assert payload["propositions"]["all_pass"]
@@ -322,7 +315,7 @@ def test_cli_exact_construction(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "phi >= 3" in out
     files = [f for f in os.listdir(tmp_path) if f.startswith("exact_")]
-    payload = read_json_without_timestamp(tmp_path / files[0])
+    payload = json.loads((tmp_path / files[0]).read_text())
     assert payload["construction_witness_is_forest"]
     assert payload["construction_bound"] == 3
     assert payload["phi"] >= 3
@@ -332,7 +325,7 @@ def test_cli_exact_construction(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "n = 12" in out and "construction bound" not in out
     (name,) = os.listdir(grid)
-    payload = read_json_without_timestamp(grid / name)
+    payload = json.loads((grid / name).read_text())
     assert payload["n"] == 12 and "construction_witness" not in payload
     assert payload["propositions"]["all_pass"]
 
@@ -349,6 +342,8 @@ CSV_HEADER = "x,z1,z2,z3,zL,zF,zM,phase\n"
 SOLUTION = CSV_HEADER + "0,0,0,1,0,0,3,1\n0.5,0,0,0.5,0.5,0.2,1.5,1\n"
 # SOLUTION's rows with x shifted by +5: no x in the solution's range
 SHIFTED_ROWS = "5,0,0,1,0,0,3,1\n5.5,0,0,0.5,0.5,0.2,1.5,1\n"
+# the start of an ELF executable: bytes from 0x80 up begin no UTF-8 character
+BINARY = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
 
 
 @pytest.mark.parametrize("args, files", [
@@ -378,15 +373,23 @@ SHIFTED_ROWS = "5,0,0,1,0,0,3,1\n5.5,0,0,0.5,0.5,0.2,1.5,1\n"
       "--jobs", "1", "--sample-stride", "5"], {}),
     (["integrate", "--r", "3", "--step", "1e-9"], {}),
     (["reproduce-table1", "--step", "1e-9"], {}),
+    (["exact", "--graph-file", "g.txt"], {"g.txt": BINARY}),
+    (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
+     {"sol.csv": BINARY, "sim/trial_0000_trajectory.csv": SOLUTION}),
+    (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
+     {"sol.csv": SOLUTION, "sim/trial_0000_trajectory.csv": BINARY}),
+    (["--config", "c.cfg", "integrate"], {"c.cfg": BINARY}),
 ], ids=["edge-token", "header-token", "no-vertices", "missing-graph-file",
         "missing-key", "non-integer-value", "unknown-key", "repeated-key", "missing-csv",
         "non-numeric-cell", "no-rows", "short-rows", "jobs-zero", "jobs-negative",
         "no-x-overlap", "unknown-config-key", "graph-sampler-exhausted",
-        "graph-sample-stride", "integrate-tiny-step", "table1-tiny-step"])
+        "graph-sample-stride", "integrate-tiny-step", "table1-tiny-step",
+        "non-utf8-graph-file", "non-utf8-solution-csv", "non-utf8-trajectory-csv",
+        "non-utf8-config"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files):
-    for name, text in files.items():
+    for name, content in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     monkeypatch.chdir(tmp_path)
     assert main(args) == 2
     err = capsys.readouterr().err
@@ -528,7 +531,9 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert (tmp_path / "b" / "result_r3.json").exists()
 
 
-def test_end_to_end_determinism(tmp_path):
+def test_end_to_end_determinism(tmp_path, monkeypatch):
+    # each run writes under its own directory; compare reads that run's
+    # simulate and integrate outputs, so the dict's order matters
     commands = {
         "simulate": ["simulate", "--r", "3", "--n", "3000", "--trials", "2",
                      "--seed", "77", "--jobs", "1"],
@@ -537,10 +542,15 @@ def test_end_to_end_determinism(tmp_path):
         "integrate": ["integrate", "--r", "3", "--step", "1e-3"],
         "reproduce-table1": ["reproduce-table1", "--step", "1e-3"],
         "exact": ["exact", "--graph", "petersen"],
+        "compare": ["compare", "--sim-dir", "simulate",
+                    "--ode-csv", "integrate/solution_r3.csv",
+                    "--sup-tol", "0.08", "--mean-tol", "0.05"],
     }
     for run in ("x", "y"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
         for out, args in commands.items():
-            assert main(args + ["--out", str(tmp_path / run / out)]) == 0
+            assert main(args + ["--out", out]) == 0, out
 
     def files(run):
         root = tmp_path / run
@@ -549,12 +559,6 @@ def test_end_to_end_determinism(tmp_path):
     names = files("x")
     assert files("y") == names
     assert {name.parts[0] for name in names} == set(commands)
+    assert {"compare/compare_r3.json", "compare/compare_merged_r3.csv"} <= set(map(str, names))
     for name in names:
-        if name.suffix == ".json":
-            a = read_json_without_timestamp(tmp_path / "x" / name)
-            b = read_json_without_timestamp(tmp_path / "y" / name)
-            assert a == b, name
-        else:
-            a = (tmp_path / "x" / name).read_bytes()
-            b = (tmp_path / "y" / name).read_bytes()
-            assert a == b, name
+        assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes(), name
