@@ -43,9 +43,10 @@ CONSTRUCTIONS = ["prism r=3 m=6", "grid delta=4 m=4"]
 EXACT_SEED = 1  # the graphs of the exact_small benchmark workload at this seed
 SIM_SEED = 20
 # commands that must fail, with their exit codes: a step too coarse for the
-# drift overflows it (3), and a cubic n = 22 graph lies above the exact
-# searches' size guard (2)
+# drift overflows it (3), an infinite step is refused (2), and a cubic
+# n = 22 graph lies above the exact searches' size guard (2)
 FAILING = {"integrate_r10_step0.2": (["integrate", "--r", "10", "--step", "0.2"], 3),
+           "integrate_r3_stepinf": (["integrate", "--r", "3", "--step", "inf"], 2),
            "construction_prism_m11": (["exact", "--construction", "prism r=3 m=11"], 2)}
 
 

@@ -1,13 +1,17 @@
 """Exact small-graph oracles and the extremal product constructions.
 
+The tree DP counts and scores every spanning tree and returns only the count
+and the two maxima; the star and CDS searches supply the witnesses, and
+``exact_result`` checks their phi and lambda against the DP's maxima.
+
 Run:  python demos/04_exact_oracles.py
 """
 import numpy as np
 
 from fdst.catalog import named_graph
 from fdst.exact import (check_propositions, construct_grid_torus,
-                        construct_prism_torus, exact_result,
-                        phi_exact_stars, phi_exact_trees, prism_torus_witness,
+                        construct_prism_torus, exact_result, phi_exact_stars,
+                        prism_torus_witness, spanning_tree_extrema,
                         star_union_is_forest)
 from fdst.graphs import is_connected, sample_simple_regular
 
@@ -35,7 +39,7 @@ for n in (8, 10, 12):
         g = sample_simple_regular(n, 3, rng)
     cubic.append((f"random n={n}", g))
 for label, g in cubic:
-    pt, _ = phi_exact_trees(g)
+    pt = spanning_tree_extrema(g).max_full
     ps, _ = phi_exact_stars(g)
     res = exact_result(g)
     ok = check_propositions(g, res)["all_pass"]

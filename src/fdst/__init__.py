@@ -19,7 +19,7 @@ Library layout:
 
 from .exact import (ExactResult, check_propositions, construct_grid_torus,
                     construct_prism_torus, exact_result, lambda_gamma_exact,
-                    phi_exact_stars, phi_exact_trees, spanning_tree_extrema)
+                    phi_exact_stars, spanning_tree_extrema)
 from .graphs import (Pairing, SimpleGraph, graph_from_edges, is_connected,
                      read_graph, sample_pairing, sample_simple_pairing,
                      sample_simple_regular, write_graph)

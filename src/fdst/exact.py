@@ -2,12 +2,12 @@
 numbers on small graphs, plus the extremal product constructions.
 
 Every search works on one view of the graph: per vertex, the bitmask of its
-neighbours. Two independent routes are kept for the full-degree number:
-a frontier DP over the edges that counts every spanning tree and scores
-them all, and a branch-and-bound search over vertex sets whose star union
-is acyclic. They must agree wherever both run; that agreement is the
-primary anti-bug defense. The DP's tree count is checked in turn against
-Kirchhoff's, an exact integer determinant.
+neighbours. Two independent routes are kept for the full-degree and leaf
+numbers: a frontier DP over the edges that counts every spanning tree and
+scores them all, returning only the count and the two maxima, and the star
+and CDS searches, which supply every witness. They must agree wherever both
+run; that agreement is the primary anti-bug defense. The DP's tree count is
+checked in turn against Kirchhoff's, an exact integer determinant.
 
 The DP merges partial forests that look alike on the frontier, the vertices
 with edges both decided and undecided, so it never lists a tree. Its table
@@ -41,9 +41,7 @@ class TreeExtrema:
 
     tree_count: int
     max_full: int
-    max_full_tree: list
     max_leaves: int
-    max_leaves_tree: list
 
 
 @dataclass
@@ -119,7 +117,7 @@ def spanning_tree_extrema(g, max_vertices=16):
       component masks of the frontier vertices. Its inner key is one int that
       packs three frontier masks: tree degree >= 1, tree degree >= 2, and an
       edge at the vertex was skipped. Its value is (tree count, best full
-      count, its edge mask, best leaf count, its edge mask).
+      count, best leaf count).
     - Taking an edge merges the components of its ends, and is dropped when
       both lie in one component (a cycle). Skipping it marks both ends.
     - When a vertex's last edge is decided it leaves the frontier: it is full
@@ -131,20 +129,20 @@ def spanning_tree_extrema(g, max_vertices=16):
       partition is then folded into the child's inner table with int
       arithmetic only.
     - States with equal keys merge: counts add, and each maximum keeps the
-      larger value with its witness, the first one seen on a tie.
+      larger value.
     """
     n = g.n
     if n > max_vertices:
         raise InvalidInputError(f"spanning-tree DP guarded at n <= {max_vertices}, got {n}")
     _require_connected(g)
     if n == 1:
-        return TreeExtrema(1, 1, [], 0, [])
+        return TreeExtrema(1, 1, 0)
     edges = _frontier_edge_order(g)
     last = {}
     for i, (a, b) in enumerate(edges):
         last[a] = last[b] = i
     lo = 2 * n  # the shift of the skipped-edge mask in a packed int
-    table = {(): {0: (1, 0, 0, 0, 0)}}
+    table = {(): {0: (1, 0, 0)}}
     for i, (a, b) in enumerate(edges):
         A, B = 1 << a, 1 << b
         ends = A | B
@@ -163,46 +161,32 @@ def spanning_tree_extrema(g, max_vertices=16):
                 else:
                     rest.append(c)
             # a move is (its parts, the ends whose degree rises, the bits it
-            # sets, its edge bit); the skip sets the skipped bits of both ends
-            moves = [([ca, cb] if ca != cb else [ca], 0, ends << lo, 0)]
+            # sets); the skip sets the skipped bits of both ends
+            moves = [([ca, cb] if ca != cb else [ca], 0, ends << lo)]
             if ca != cb:
-                moves.append(([ca | cb], ends, ends, 1 << i))
-            for parts, up, add, bit in moves:
+                moves.append(([ca | cb], ends, ends))
+            for parts, up, add in moves:
                 if gone:
                     parts = [c & ~gone for c in parts]
                     if 0 in parts and (rest or len(parts) > 1):
                         continue
                 child = nxt.setdefault(tuple(sorted(rest + [c for c in parts if c])), {})
-                for packed, (count, f, ft, lv, lt) in states.items():
+                for packed, (count, f, lv) in states.items():
                     p = packed | (packed & up) << n | add
                     if gone:
                         f += (gone & ~(p >> lo)).bit_count()
                         lv += (gone & p & ~(p >> n)).bit_count()
                         p &= keep
-                    ft |= bit
-                    lt |= bit
                     old = child.get(p)
                     if old is not None:
                         count += old[0]
-                        if f <= old[1]:
-                            f, ft = old[1], old[2]
-                        if lv <= old[3]:
-                            lv, lt = old[3], old[4]
-                    child[p] = (count, f, ft, lv, lt)
+                        if f < old[1]:
+                            f = old[1]
+                        if lv < old[2]:
+                            lv = old[2]
+                    child[p] = (count, f, lv)
         table = nxt
-    count, full, full_t, leaves, leaves_t = table[()][0]
-
-    def tree(mask):
-        return sorted(e for i, e in enumerate(edges) if mask >> i & 1)
-
-    return TreeExtrema(tree_count=count, max_full=full, max_full_tree=tree(full_t),
-                       max_leaves=leaves, max_leaves_tree=tree(leaves_t))
-
-
-def phi_exact_trees(g):
-    """Maximum full-degree count over all spanning trees, with a witness tree."""
-    ext = spanning_tree_extrema(g, max_vertices=TREE_GUARD)
-    return ext.max_full, ext.max_full_tree
+    return TreeExtrema(*table[()][0])
 
 
 def _add_star(comps, star):

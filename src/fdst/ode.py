@@ -229,10 +229,10 @@ def integrate_two_phase(r, step_size=DEFAULT_STEP, event_tol=DEFAULT_EVENT_TOL):
     event_tol. Returns a TrajectoryResult carrying the full grids.
     """
     _check_r(r)
-    if not step_size >= MIN_STEP:
-        raise InvalidInputError(f"step_size must be >= {MIN_STEP}, got {step_size}")
-    if not event_tol > 0.0:
-        raise InvalidInputError(f"event_tol must be positive, got {event_tol}")
+    if not MIN_STEP <= step_size < np.inf:
+        raise InvalidInputError(f"step_size must be finite and >= {MIN_STEP}, got {step_size}")
+    if not 0.0 < event_tol < np.inf:
+        raise InvalidInputError(f"event_tol must be positive and finite, got {event_tol}")
     z0 = initial_state(r)
     # phase 1 starts at z_L = 0 and z_L rises at slope r-2 > 0, so only its
     # return to zero is a sign change

@@ -11,9 +11,8 @@ from fdst.catalog import named_graph
 from fdst.constants import (FULL_DEGREE_FRACTION, PHASE_BOUNDARIES,
                             PHASE_VALUE_TOLERANCE, TABLE_TOLERANCE)
 from fdst.exact import (construct_grid_torus, construct_prism_torus,
-                        lambda_gamma_exact, phi_exact_stars, phi_exact_trees,
-                        prism_torus_witness, spanning_tree_extrema,
-                        star_union_is_forest)
+                        lambda_gamma_exact, phi_exact_stars, prism_torus_witness,
+                        spanning_tree_extrema, star_union_is_forest)
 from fdst.graphs import sample_simple_regular
 from fdst.greedy import run_on_graph
 from fdst.ode import analytic_phase1, integrate_two_phase
@@ -117,7 +116,7 @@ def test_criterion_07_oracle_cross_validation(cubic_corpus):
     named = [named_graph(name) for name in ("k33", "prism", "petersen")]
     mk = named_graph("moebius-kantor")
     for g in [g for gs in cubic_corpus.values() for g in gs] + named:
-        phi_t, _ = phi_exact_trees(g)
+        phi_t = spanning_tree_extrema(g).max_full
         phi_s, _ = phi_exact_stars(g)
         assert phi_t == phi_s
         lam, gamma, _, _ = lambda_gamma_exact(g)

@@ -6,8 +6,8 @@ code. ``reference_tree_extrema`` lists every spanning tree by
 deletion/contraction on a rebuilt edge list, with a fresh depth-first search
 before each exclude branch. ``listing_tree_extrema`` lists the same trees in
 the same order on edge bitmasks. The program counts and scores them with a
-frontier DP instead, so only the count and the two maxima are compared; the
-witness trees differ. ``reference_lambda_gamma`` tries every vertex subset
+frontier DP instead, which keeps no tree, so both return only the count and
+the two maxima. ``reference_lambda_gamma`` tries every vertex subset
 of each size from the domination bound ceil(n/(D+1)) upward and searches
 each covering subset for connectivity; the program grows connected sets
 only, from the tree bound ceil((n-2)/(D-1)). ``reference_star_union_is_forest``
@@ -29,10 +29,9 @@ from fdst.errors import InvalidInputError, InvariantViolationError
 from fdst.exact import (TreeExtrema, _frontier_edge_order, _neighbour_masks,
                         _tree_with_pendants, check_propositions, construct_grid_torus,
                         construct_prism_torus, exact_result, kirchhoff_tree_count,
-                        lambda_gamma_exact, phi_exact_stars, phi_exact_trees,
-                        prism_torus_witness, spanning_tree_extrema,
-                        star_union_is_forest)
-from fdst.graphs import graph_from_edges, sample_simple_regular
+                        lambda_gamma_exact, phi_exact_stars, prism_torus_witness,
+                        spanning_tree_extrema, star_union_is_forest)
+from fdst.graphs import graph_from_edges, is_connected, sample_simple_regular
 from fdst.unionfind import UnionFind
 
 
@@ -51,13 +50,10 @@ def reference_tree_extrema(g):
     """The earlier enumerator: deletion/contraction on a rebuilt edge list."""
     n = g.n
     if n == 1:
-        return TreeExtrema(1, 1, [], 0, [])
+        return TreeExtrema(1, 1, 0)
     deg = [g.degree(v) for v in range(n)]
     deg_t = [0] * n
-    chosen = []
-    state = {"full": 0, "leaves": 0, "count": 0,
-             "best_full": -1, "best_full_tree": None,
-             "best_leaves": -1, "best_leaves_tree": None}
+    state = {"full": 0, "leaves": 0, "count": 0, "best_full": -1, "best_leaves": -1}
 
     def inc(v):
         old = deg_t[v]
@@ -81,15 +77,10 @@ def reference_tree_extrema(g):
     def rec(edges, labels):
         if len(labels) == 1:
             state["count"] += 1
-            if state["full"] > state["best_full"]:
-                state["best_full"] = state["full"]
-                state["best_full_tree"] = list(chosen)
-            if state["leaves"] > state["best_leaves"]:
-                state["best_leaves"] = state["leaves"]
-                state["best_leaves_tree"] = list(chosen)
+            state["best_full"] = max(state["best_full"], state["full"])
+            state["best_leaves"] = max(state["best_leaves"], state["leaves"])
             return
         u, v, ou, ov = edges[0]
-        chosen.append((ou, ov) if ou < ov else (ov, ou))
         inc(ou)
         inc(ov)
         contracted = []
@@ -103,7 +94,6 @@ def reference_tree_extrema(g):
         labels.add(v)
         dec(ou)
         dec(ov)
-        chosen.pop()
         rest = edges[1:]
         adj = {}
         for a, b, _, _ in rest:
@@ -121,9 +111,7 @@ def reference_tree_extrema(g):
             rec(rest, labels)
 
     rec([(u, v, u, v) for u, v in g.edges()], set(range(n)))
-    return TreeExtrema(state["count"], state["best_full"],
-                       sorted(state["best_full_tree"]), state["best_leaves"],
-                       sorted(state["best_leaves_tree"]))
+    return TreeExtrema(state["count"], state["best_full"], state["best_leaves"])
 
 
 def listing_tree_extrema(g):
@@ -138,7 +126,7 @@ def listing_tree_extrema(g):
     n = g.n
     nbrs = _neighbour_masks(g)  # per vertex: its neighbours along edges not dropped
     if n == 1:
-        return TreeExtrema(1, 1, [], 0, [])
+        return TreeExtrema(1, 1, 0)
     ends = g.edges()
     # gains of one more tree edge at v, indexed by v's tree degree before it
     full_gain = [[int(k + 1 == g.degree(v)) for k in range(g.degree(v))]
@@ -151,9 +139,8 @@ def listing_tree_extrema(g):
         cut[v] |= 1 << i
     comp = list(range(n))
     members = [[v] for v in range(n)]
-    chosen = []
     last = n - 2
-    best = {"count": 0, "full": -1, "full_tree": None, "leaves": -1, "leaves_tree": None}
+    best = {"count": 0, "full": -1, "leaves": -1}
 
     def reaches(a, b):
         reach = frontier = 1 << a
@@ -167,20 +154,16 @@ def listing_tree_extrema(g):
             reach |= frontier
         return reach >> b & 1
 
-    def rec(R, full, leaves):
-        if len(chosen) == last:
+    def rec(R, full, leaves, taken):
+        if taken == last:
             best["count"] += R.bit_count()
             while R:
                 low = R & -R
                 R ^= low
                 a, b = ends[low.bit_length() - 1]
                 da, db = deg_t[a], deg_t[b]
-                f = full + full_gain[a][da] + full_gain[b][db]
-                if f > best["full"]:
-                    best["full"], best["full_tree"] = f, chosen + [(a, b)]
-                f = leaves + leaf_gain[da] + leaf_gain[db]
-                if f > best["leaves"]:
-                    best["leaves"], best["leaves_tree"] = f, chosen + [(a, b)]
+                best["full"] = max(best["full"], full + full_gain[a][da] + full_gain[b][db])
+                best["leaves"] = max(best["leaves"], leaves + leaf_gain[da] + leaf_gain[db])
             return
         low = R & -R
         a, b = ends[low.bit_length() - 1]
@@ -198,10 +181,8 @@ def listing_tree_extrema(g):
         da, db = deg_t[a], deg_t[b]
         deg_t[a] = da + 1
         deg_t[b] = db + 1
-        chosen.append((a, b))
         rec(R & ~between, full + full_gain[a][da] + full_gain[b][db],
-            leaves + leaf_gain[da] + leaf_gain[db])
-        chosen.pop()
+            leaves + leaf_gain[da] + leaf_gain[db], taken + 1)
         deg_t[a] = da
         deg_t[b] = db
         cut[A] = kept
@@ -216,34 +197,12 @@ def listing_tree_extrema(g):
         nbrs[a] ^= 1 << b
         nbrs[b] ^= 1 << a
         if parallel or reaches(a, b):
-            rec(R, full, leaves)
+            rec(R, full, leaves, taken)
         nbrs[a] ^= 1 << b
         nbrs[b] ^= 1 << a
 
-    rec((1 << len(ends)) - 1, 0, 0)
-    return TreeExtrema(best["count"], best["full"], sorted(best["full_tree"]),
-                       best["leaves"], sorted(best["leaves_tree"]))
-
-
-def assert_witnesses_realise_maxima(g, ext):
-    """Each witness is n - 1 edges of g forming a spanning tree that realises its maximum."""
-    for tree, kind in ((ext.max_full_tree, "full"), (ext.max_leaves_tree, "leaves")):
-        assert len(tree) == g.n - 1
-        uf = UnionFind(g.n)
-        deg = [0] * g.n
-        for u, v in tree:
-            assert g.has_edge(u, v)
-            assert uf.union(u, v)
-            deg[u] += 1
-            deg[v] += 1
-        if kind == "full":
-            assert sum(deg[v] == g.degree(v) for v in range(g.n)) == ext.max_full
-        else:
-            assert deg.count(1) == ext.max_leaves
-
-
-def extrema(ext):
-    return ext.tree_count, ext.max_full, ext.max_leaves
+    rec((1 << len(ends)) - 1, 0, 0, 0)
+    return TreeExtrema(best["count"], best["full"], best["leaves"])
 
 
 def reference_lambda_gamma(g):
@@ -319,9 +278,8 @@ def test_tree_enumeration_count_matches_kirchhoff(name, count):
                               (2, 3), (3, 4), (4, 5)]))
 def test_tree_enumeration_matches_reference(g):
     ext = spanning_tree_extrema(g)
-    assert extrema(ext) == extrema(reference_tree_extrema(g))
+    assert ext == reference_tree_extrema(g)
     assert ext.tree_count == kirchhoff_count(g)
-    assert_witnesses_realise_maxima(g, ext)
 
 
 @pytest.mark.parametrize("n,r,seeds", [(12, 3, (1, 2, 3)), (10, 4, (1, 2, 3)), (11, 4, (1,))])
@@ -329,9 +287,7 @@ def test_tree_dp_matches_listing_on_exact_workload_classes(n, r, seeds):
     # the classes whose trees ``fdst exact`` counts in its cross-check
     for seed in seeds:
         g = sample_simple_regular(n, r, np.random.default_rng(seed))
-        ext = spanning_tree_extrema(g)
-        assert extrema(ext) == extrema(listing_tree_extrema(g))
-        assert_witnesses_realise_maxima(g, ext)
+        assert spanning_tree_extrema(g) == listing_tree_extrema(g)
 
 
 @pytest.mark.parametrize("n,r", [(14, 3), (16, 3), (18, 3), (20, 3), (12, 4), (14, 4)])
@@ -343,7 +299,6 @@ def test_tree_dp_beyond_the_cross_check_guard(n, r):
     assert ext.tree_count == kirchhoff_tree_count(g)
     assert ext.max_full == phi_exact_stars(g)[0]
     assert ext.max_leaves == lambda_gamma_exact(g)[0]
-    assert_witnesses_realise_maxima(g, ext)
 
 
 @settings(max_examples=50, deadline=None)
@@ -353,7 +308,7 @@ def test_tree_dp_is_invariant_under_relabelling(g, data):
     perm = data.draw(st.permutations(range(g.n)))
     relabelled = graph_from_edges(g.n, sorted(
         (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges()))
-    assert extrema(spanning_tree_extrema(relabelled)) == extrema(spanning_tree_extrema(g))
+    assert spanning_tree_extrema(relabelled) == spanning_tree_extrema(g)
 
 
 def test_tree_dp_edge_order_starts_where_the_frontier_is_narrowest():
@@ -363,10 +318,9 @@ def test_tree_dp_edge_order_starts_where_the_frontier_is_narrowest():
 
 
 def test_tree_enumeration_on_one_and_two_vertices():
-    assert spanning_tree_extrema(graph_from_edges(1, [])) == TreeExtrema(1, 1, [], 0, [])
+    assert spanning_tree_extrema(graph_from_edges(1, [])) == TreeExtrema(1, 1, 0)
     # two vertices: the batched last level handles the first call
-    assert spanning_tree_extrema(graph_from_edges(2, [(0, 1)])) == TreeExtrema(
-        1, 2, [(0, 1)], 2, [(0, 1)])
+    assert spanning_tree_extrema(graph_from_edges(2, [(0, 1)])) == TreeExtrema(1, 2, 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -406,23 +360,16 @@ def test_star_search_matches_enumeration_and_reference(g, data):
 ])
 def test_phi_known_values(name, phi):
     g = named_graph(name)
-    phi_t, tree = phi_exact_trees(g)
     phi_s, full_set = phi_exact_stars(g)
-    assert phi_t == phi_s == phi
+    assert spanning_tree_extrema(g).max_full == phi_s == phi
     assert len(full_set) == phi
     assert star_union_is_forest(g, full_set)
-    # the witness tree realizes the count
-    deg = [0] * g.n
-    for u, v in tree:
-        deg[u] += 1
-        deg[v] += 1
-    assert sum(1 for v in range(g.n) if deg[v] == g.degree(v)) == phi_t
 
 
 def test_phi_cycle_is_n_minus_2():
     for n in (4, 5, 6, 8):
         g = cycle_graph(n)
-        assert phi_exact_trees(g)[0] == n - 2
+        assert spanning_tree_extrema(g).max_full == n - 2
         assert phi_exact_stars(g)[0] == n - 2
 
 
@@ -470,7 +417,7 @@ def test_oracle_agreement_on_cubic_corpus(cubic_corpus):
     assert {n: len(gs) for n, gs in cubic_corpus.items()} == {4: 1, 6: 2, 8: 5}
     for graphs in cubic_corpus.values():
         for g in graphs:
-            assert phi_exact_trees(g)[0] == phi_exact_stars(g)[0]
+            assert spanning_tree_extrema(g).max_full == phi_exact_stars(g)[0]
 
 
 def test_propositions_on_cubic_corpus(cubic_corpus):
@@ -532,9 +479,8 @@ def test_kirchhoff_count_is_zero_when_disconnected():
 
 
 def test_size_guards():
-    mk = named_graph("moebius-kantor")
     with pytest.raises(InvalidInputError, match="guarded"):
-        phi_exact_trees(mk)  # n=16 above the default guard
+        spanning_tree_extrema(cycle_graph(17))  # one above the DP's default guard
     with pytest.raises(InvalidInputError, match="guarded"):
         lambda_gamma_exact(cycle_graph(25))
     with pytest.raises(InvalidInputError, match="guarded"):
@@ -557,10 +503,10 @@ def test_star_search_shares_the_cds_guard(capsys):
 def test_oracles_require_connected_input():
     two_triangles = graph_from_edges(
         6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-    for oracle in (phi_exact_trees, phi_exact_stars, lambda_gamma_exact):
+    for oracle in (spanning_tree_extrema, phi_exact_stars, lambda_gamma_exact):
         with pytest.raises(InvalidInputError, match="requires a connected graph"):
             oracle(two_triangles)
-    for oracle in (phi_exact_trees, phi_exact_stars, lambda_gamma_exact, exact_result):
+    for oracle in (spanning_tree_extrema, phi_exact_stars, lambda_gamma_exact, exact_result):
         with pytest.raises(InvalidInputError, match="requires a connected graph"):
             oracle(graph_from_edges(0, []))
 
@@ -642,6 +588,45 @@ def test_exact_result_cross_checks(cubic_corpus):
     res = exact_result(named_graph("petersen"))
     assert (res.phi, res.lam, res.gamma_c) == (4, 6, 4)
     assert star_union_is_forest(named_graph("petersen"), res.witness_full_set)
+
+
+@st.composite
+def exact_small_graphs(draw):
+    """A connected graph of one of the benchmark's exact_small classes with n <= 12."""
+    n, r = draw(st.sampled_from([(12, 3), (10, 4), (11, 4), (12, 5)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = sample_simple_regular(n, r, rng)
+    while not is_connected(g):
+        g = sample_simple_regular(n, r, rng)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(connected_graphs(3, 9, max_extra=14), exact_small_graphs()))
+def test_exact_result_witnesses_certify_their_numbers(g):
+    res = exact_result(g)
+    # the full set: phi vertices whose stars' union is a forest
+    assert len(set(res.witness_full_set)) == res.phi
+    assert reference_star_union_is_forest(g, res.witness_full_set)
+    # the tree: n - 1 edges of g that join every vertex, lambda of them leaves
+    assert len(res.witness_tree) == g.n - 1
+    uf = UnionFind(g.n)
+    deg = [0] * g.n
+    for u, v in res.witness_tree:
+        assert g.has_edge(u, v)
+        assert uf.union(u, v)
+        deg[u] += 1
+        deg[v] += 1
+    assert deg.count(1) == res.lam
+    # the CDS: gamma_C vertices that dominate g and induce a connected subgraph
+    cds = set(res.witness_cds)
+    assert len(cds) == res.gamma_c
+    assert cds.union(*(g.adjacency[v] for v in cds)) == set(range(g.n))
+    uf = UnionFind(g.n)
+    for u, v in g.edges():
+        if u in cds and v in cds:
+            uf.union(u, v)
+    assert len({uf.find(v) for v in cds}) == 1
 
 
 def test_exact_result_reports_the_enumerated_tree_count():

@@ -372,6 +372,8 @@ BINARY = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
     (["simulate", "--mode", "graph", "--r", "3", "--n", "20", "--trials", "1",
       "--jobs", "1", "--sample-stride", "5"], {}),
     (["integrate", "--r", "3", "--step", "1e-9"], {}),
+    (["integrate", "--r", "3", "--step", "inf"], {}),
+    (["integrate", "--r", "3", "--event-tol", "inf"], {}),
     (["reproduce-table1", "--step", "1e-9"], {}),
     (["exact", "--graph-file", "g.txt"], {"g.txt": BINARY}),
     (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
@@ -383,7 +385,8 @@ BINARY = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
         "missing-key", "non-integer-value", "unknown-key", "repeated-key", "missing-csv",
         "non-numeric-cell", "no-rows", "short-rows", "jobs-zero", "jobs-negative",
         "no-x-overlap", "unknown-config-key", "graph-sampler-exhausted",
-        "graph-sample-stride", "integrate-tiny-step", "table1-tiny-step",
+        "graph-sample-stride", "integrate-tiny-step", "integrate-infinite-step",
+        "integrate-infinite-event-tol", "table1-tiny-step",
         "non-utf8-graph-file", "non-utf8-solution-csv", "non-utf8-trajectory-csv",
         "non-utf8-config"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files):

@@ -175,11 +175,14 @@ def test_integration_guards():
     for bad_r in (2, 0, 3.5):
         with pytest.raises(InvalidInputError):
             integrate_two_phase(bad_r)
-    for bad_step in (0.0, MIN_STEP / 2):  # a finer step only costs time and memory
+    # a finer step only costs time and memory; an infinite one overflows z_M
+    for bad_step in (0.0, MIN_STEP / 2, float("inf")):
         with pytest.raises(InvalidInputError):
             integrate_two_phase(3, step_size=bad_step)
-    with pytest.raises(InvalidInputError):
-        integrate_two_phase(3, event_tol=-1.0)
+    # an infinite tolerance accepts the first bisection midpoint as the event
+    for bad_tol in (-1.0, float("inf")):
+        with pytest.raises(InvalidInputError):
+            integrate_two_phase(3, event_tol=bad_tol)
 
 
 def test_event_locator_fails_loudly(monkeypatch):
