@@ -28,9 +28,10 @@ from .catalog import cartesian_product, complete_graph, cycle_graph
 from .errors import InvalidInputError, InvariantViolationError
 from .graphs import is_connected
 
-# largest n the star and CDS searches accept, and the largest n the tree
-# cross-check runs at, which also stops above TREE_COUNT_LIMIT spanning trees
+# largest n every oracle accepts, widest frontier the DP accepts (its cost grows
+# with that width, not with n), and the tree cross-check's n and tree limits
 SEARCH_GUARD = 20
+MAX_FRONTIER = 8
 TREE_GUARD = 12
 TREE_COUNT_LIMIT = 500_000
 
@@ -59,19 +60,22 @@ class ExactResult:
     tree_count: int | None
 
 
-def _require_connected(g):
-    if g.n < 1 or not is_connected(g):  # the empty graph is not connected
+def _admit(g, oracle):
+    """Refuse a graph above SEARCH_GUARD vertices, then a disconnected one."""
+    if g.n > SEARCH_GUARD:
+        raise InvalidInputError(f"{oracle} guarded at n <= {SEARCH_GUARD}, got {g.n}")
+    if not is_connected(g):
         raise InvalidInputError("oracle requires a connected graph")
 
 
 def _neighbour_masks(g):
-    """Per vertex, the bitmask of its neighbours; the graph must be connected."""
-    _require_connected(g)
+    """Per vertex, the bitmask of its neighbours."""
     return [sum(1 << w for w in adj) for adj in g.adjacency]
 
 
 def _frontier_edge_order(g):
-    """The edges in the order the frontier DP decides them.
+    """The (max, sum) cost of the frontier sizes, and the edges in the order
+    the frontier DP decides them; the max, the order's width, is at most n - 1.
 
     For each start vertex, the edges are sorted by the BFS positions (neighbours
     ascending) of their later and then their earlier end. The frontier after an
@@ -100,10 +104,10 @@ def _frontier_edge_order(g):
         cost = (max(sizes), sum(sizes))
         if best is None or cost < best[0]:
             best = (cost, edges)
-    return best[1]
+    return best
 
 
-def spanning_tree_extrema(g, max_vertices=16):
+def spanning_tree_extrema(g):
     """Count the spanning trees and find the full-degree and leaf maxima.
 
     A frontier DP over the edges: the deletion/contraction of Sekine, Imai &
@@ -132,12 +136,13 @@ def spanning_tree_extrema(g, max_vertices=16):
       larger value.
     """
     n = g.n
-    if n > max_vertices:
-        raise InvalidInputError(f"spanning-tree DP guarded at n <= {max_vertices}, got {n}")
-    _require_connected(g)
+    _admit(g, "spanning-tree DP")
     if n == 1:
         return TreeExtrema(1, 1, 0)
-    edges = _frontier_edge_order(g)
+    (width, _), edges = _frontier_edge_order(g)
+    if width > MAX_FRONTIER:
+        raise InvalidInputError(
+            f"spanning-tree DP guarded at frontier width <= {MAX_FRONTIER}, got {width}")
     last = {}
     for i, (a, b) in enumerate(edges):
         last[a] = last[b] = i
@@ -228,8 +233,7 @@ def phi_exact_stars(g):
     conversely the stars of full-degree vertices all lie inside the tree.
     """
     n = g.n
-    if n > SEARCH_GUARD:
-        raise InvalidInputError(f"star search guarded at n <= {SEARCH_GUARD}, got {n}")
+    _admit(g, "star search")
     nbrs = _neighbour_masks(g)
     delta = g.min_degree()
     hard_ub = (n - 2) // (delta - 1) if delta >= 2 else n
@@ -275,8 +279,7 @@ def lambda_gamma_exact(g):
     witness is the lexicographically smallest CDS of the least size.
     """
     n = g.n
-    if n > SEARCH_GUARD:
-        raise InvalidInputError(f"CDS search guarded at n <= {SEARCH_GUARD}, got {n}")
+    _admit(g, "CDS search")
     nbrs = _neighbour_masks(g)
     if n < 3:
         raise InvalidInputError("leaf/domination exchange needs n >= 3")
@@ -373,7 +376,7 @@ def exact_result(g):
     lam, gamma, tree, cds = lambda_gamma_exact(g)
     tree_count = None
     if g.n <= TREE_GUARD and (count := kirchhoff_tree_count(g)) <= TREE_COUNT_LIMIT:
-        ext = spanning_tree_extrema(g, max_vertices=TREE_GUARD)
+        ext = spanning_tree_extrema(g)
         if ext.max_full != phi_s:
             raise InvariantViolationError(
                 f"oracle disagreement: trees say {ext.max_full}, stars say {phi_s}")

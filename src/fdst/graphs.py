@@ -179,9 +179,9 @@ def sample_simple_regular(n, r, rng):
 
 
 def is_connected(g):
-    """Reachability of every vertex from vertex 0."""
+    """Reachability of every vertex from vertex 0; the empty graph is not connected."""
     if g.n == 0:
-        return True
+        return False
     seen = bytearray(g.n)
     seen[0] = 1
     stack = [0]

@@ -68,7 +68,7 @@ def read_trajectory_csv(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     r = len(header) - len(columns(0))  # z1..zr are the only r-dependent columns
-    if header != columns(r):
+    if r < 3 or header != columns(r):
         raise InvalidInputError(f"{path}: unexpected header {header}")
     shape_error = InvalidInputError(f"{path}: expected rows of {len(header)} numbers")
     if not rows:  # np.loadtxt warns on empty input, so it never sees one
@@ -247,8 +247,7 @@ def sup_deviations(r, sim_samples, sol_samples):
     return devs
 
 
-def compare_simulations_to_solution(r, sim_samples_list, sol_samples,
-                                    sup_tol=0.01, mean_tol=0.005):
+def compare_simulations_to_solution(r, sim_samples_list, sol_samples, sup_tol, mean_tol):
     """Compare a batch of trajectories against one solution grid.
 
     Each trial's final full-degree fraction is the last z_F of its table;

@@ -23,14 +23,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdst.catalog import cycle_graph, named_graph, prism_graph
+from fdst.catalog import complete_graph, cycle_graph, named_graph, prism_graph
 from fdst.cli import main
 from fdst.errors import InvalidInputError, InvariantViolationError
-from fdst.exact import (TreeExtrema, _frontier_edge_order, _neighbour_masks,
-                        _tree_with_pendants, check_propositions, construct_grid_torus,
-                        construct_prism_torus, exact_result, kirchhoff_tree_count,
-                        lambda_gamma_exact, phi_exact_stars, prism_torus_witness,
-                        spanning_tree_extrema, star_union_is_forest)
+from fdst.exact import (MAX_FRONTIER, TREE_COUNT_LIMIT, TREE_GUARD, TreeExtrema,
+                        _frontier_edge_order, _neighbour_masks, _tree_with_pendants,
+                        check_propositions, construct_grid_torus, construct_prism_torus,
+                        exact_result, kirchhoff_tree_count, lambda_gamma_exact,
+                        phi_exact_stars, prism_torus_witness, spanning_tree_extrema,
+                        star_union_is_forest)
 from fdst.graphs import graph_from_edges, is_connected, sample_simple_regular
 from fdst.unionfind import UnionFind
 
@@ -295,7 +296,7 @@ def test_tree_dp_beyond_the_cross_check_guard(n, r):
     # ``exact_result`` runs the DP only up to TREE_GUARD; the DP itself must
     # agree with the determinant and both searches on larger graphs too
     g = sample_simple_regular(n, r, np.random.default_rng(1))
-    ext = spanning_tree_extrema(g, max_vertices=20)
+    ext = spanning_tree_extrema(g)
     assert ext.tree_count == kirchhoff_tree_count(g)
     assert ext.max_full == phi_exact_stars(g)[0]
     assert ext.max_leaves == lambda_gamma_exact(g)[0]
@@ -314,7 +315,28 @@ def test_tree_dp_is_invariant_under_relabelling(g, data):
 def test_tree_dp_edge_order_starts_where_the_frontier_is_narrowest():
     # a path with 0 in its middle: BFS from the end 3 keeps one frontier vertex
     path = graph_from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
-    assert _frontier_edge_order(path) == [(1, 3), (0, 1), (0, 2), (2, 4)]
+    (width, _), edges = _frontier_edge_order(path)
+    assert edges == [(1, 3), (0, 1), (0, 2), (2, 4)]
+    assert width == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(connected_graphs(2, 9, max_extra=36), connected_graphs(10, 12, max_extra=20)))
+@example(complete_graph(9))  # width n - 1 = MAX_FRONTIER
+# the widest of a hill climb toward wide orders inside the gate: width 7, 358 357 trees
+@example(graph_from_edges(12, [(0, 2), (0, 9), (0, 10), (0, 11), (1, 2), (1, 4), (1, 5),
+                               (1, 6), (1, 8), (1, 10), (1, 11), (2, 3), (2, 4), (2, 7),
+                               (3, 10), (4, 5), (4, 7), (4, 8), (5, 6), (5, 9), (6, 7),
+                               (6, 9), (6, 11), (8, 9), (8, 11)]))
+def test_tree_dp_frontier_width_bounds(g):
+    # the frontier lies within the BFS positions up to the current edge's
+    # later end, and never holds both the start and the last vertex
+    (width, _), _ = _frontier_edge_order(g)
+    assert width <= g.n - 1
+    # so every graph with n <= MAX_FRONTIER + 1 is admitted, and so is every
+    # graph that ``exact_result`` cross-checks
+    if g.n <= TREE_GUARD and kirchhoff_tree_count(g) <= TREE_COUNT_LIMIT:
+        assert width <= MAX_FRONTIER
 
 
 def test_tree_enumeration_on_one_and_two_vertices():
@@ -479,8 +501,10 @@ def test_kirchhoff_count_is_zero_when_disconnected():
 
 
 def test_size_guards():
-    with pytest.raises(InvalidInputError, match="guarded"):
-        spanning_tree_extrema(cycle_graph(17))  # one above the DP's default guard
+    with pytest.raises(InvalidInputError, match="guarded at n <= 20, got 21"):
+        spanning_tree_extrema(cycle_graph(21))  # one above the search guard
+    with pytest.raises(InvalidInputError, match="frontier width <= 8, got 9"):
+        spanning_tree_extrema(complete_graph(10))
     with pytest.raises(InvalidInputError, match="guarded"):
         lambda_gamma_exact(cycle_graph(25))
     with pytest.raises(InvalidInputError, match="guarded"):

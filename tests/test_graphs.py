@@ -221,6 +221,7 @@ def test_is_connected():
     two_k4 = graph_from_edges(8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
                               + [(4 + u, 4 + v) for u in range(4) for v in range(u + 1, 4)])
     assert not is_connected(two_k4)
+    assert not is_connected(graph_from_edges(0, []))
 
 
 def test_graph_file_roundtrip(tmp_path):

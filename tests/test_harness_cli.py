@@ -342,6 +342,10 @@ CSV_HEADER = "x,z1,z2,z3,zL,zF,zM,phase\n"
 SOLUTION = CSV_HEADER + "0,0,0,1,0,0,3,1\n0.5,0,0,0.5,0.5,0.2,1.5,1\n"
 # SOLUTION's rows with x shifted by +5: no x in the solution's range
 SHIFTED_ROWS = "5,0,0,1,0,0,3,1\n5.5,0,0,0.5,0.5,0.2,1.5,1\n"
+# SOLUTION's layout at r = 2 and r = 0, which no fdst run has; each case gives
+# one file as both the solution and the trial
+R2_CSV = "x,z1,z2,zL,zF,zM,phase\n0,0,1,0,0,3,1\n0.5,0,0.5,0.5,0.2,1.5,1\n"
+R0_CSV = "x,zL,zF,zM,phase\n0,0,0,3,1\n0.5,0.5,0.2,1.5,1\n"
 # the start of an ELF executable: bytes from 0x80 up begin no UTF-8 character
 BINARY = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
 
@@ -381,6 +385,10 @@ BINARY = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
     (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
      {"sol.csv": SOLUTION, "sim/trial_0000_trajectory.csv": BINARY}),
     (["--config", "c.cfg", "integrate"], {"c.cfg": BINARY}),
+    (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
+     {"sol.csv": R0_CSV, "sim/trial_0000_trajectory.csv": R0_CSV}),
+    (["compare", "--sim-dir", "sim", "--ode-csv", "sol.csv"],
+     {"sol.csv": R2_CSV, "sim/trial_0000_trajectory.csv": R2_CSV}),
 ], ids=["edge-token", "header-token", "no-vertices", "missing-graph-file",
         "missing-key", "non-integer-value", "unknown-key", "repeated-key", "missing-csv",
         "non-numeric-cell", "no-rows", "short-rows", "jobs-zero", "jobs-negative",
@@ -388,7 +396,7 @@ BINARY = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
         "graph-sample-stride", "integrate-tiny-step", "integrate-infinite-step",
         "integrate-infinite-event-tol", "table1-tiny-step",
         "non-utf8-graph-file", "non-utf8-solution-csv", "non-utf8-trajectory-csv",
-        "non-utf8-config"])
+        "non-utf8-config", "r0-csvs", "r2-csvs"])
 def test_cli_malformed_input_exits_2(tmp_path, monkeypatch, capsys, args, files):
     for name, content in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
