@@ -15,6 +15,12 @@ from .errors import AttemptsExhaustedError, InvalidInputError
 # pairings sample_simple_pairing rejects before it gives up
 MAX_ATTEMPTS = 20_000
 
+# entries per block of the scans that read a block at a time: the points of
+# Pairing.vertex_pairs and of _pairing's assignment, the vertices of greedy
+# completion's forest keys. Even, so a block of a permutation holds whole
+# pairs; small, so a block's arrays take tens of kilobytes
+BLOCK_SIZE = 2**13
+
 
 def index_dtype(size):
     """The dtype of indices 0..size-1: int32 when size < 2**31, else int64."""
@@ -38,16 +44,21 @@ class Pairing:
         return self.n * self.r
 
     def vertex_pairs(self):
-        """Vertices u[i], v[i] of the matched pairs (p, q), p < q, in increasing order of p.
+        """Yield the vertices (u, v) of the matched pairs (p, q), p < q, in blocks.
 
-        Both arrays have the dtype of ``matches``.
+        Block k holds the pairs whose lower point p lies in points
+        k*BLOCK_SIZE..(k+1)*BLOCK_SIZE - 1, in increasing order of p, so
+        the blocks concatenate to all r*n/2 pairs; u and v have the dtype of
+        ``matches``.
         """
         matches = self.matches
-        v = matches[np.arange(len(matches), dtype=matches.dtype) < matches]
-        u = matches[v]
-        u //= self.r
-        v //= self.r
-        return u, v
+        for start in range(0, len(matches), BLOCK_SIZE):
+            block = matches[start:start + BLOCK_SIZE]
+            v = block[np.arange(start, start + len(block), dtype=block.dtype) < block]
+            u = matches[v]
+            u //= self.r
+            v //= self.r
+            yield u, v
 
 
 @dataclass
@@ -126,16 +137,25 @@ def sample_pairing(n, r, rng):
     if m % 2:
         raise InvalidInputError(f"r*n must be even, got n={n}, r={r}")
     # a uniform permutation read off in consecutive slots is a uniform matching;
-    # the int64 draw lives only until its copy in index_dtype(m) (shuffling an
-    # int32 arange gives the same order, but numpy swaps 8-byte items faster)
-    return _pairing(n, r, rng.permutation(m).astype(index_dtype(m)))
+    # an arange shuffled in place takes rng.permutation(m)'s order, and in
+    # index_dtype(m) it needs no int64 copy (numpy swaps its 4-byte items more
+    # slowly, by about 1% of a lazy run)
+    perm = np.arange(m, dtype=index_dtype(m))
+    rng.shuffle(perm)
+    return _pairing(n, r, perm)
 
 
 def _pairing(n, r, perm):
-    """The pairing of ``perm[2i]`` with ``perm[2i+1]``, in the dtype of the permutation."""
+    """The pairing of ``perm[2i]`` with ``perm[2i+1]``, in the dtype of the permutation.
+
+    It is assigned a block at a time, so the indices numpy casts to intp
+    never span the whole permutation.
+    """
     matches = np.empty_like(perm)
-    matches[perm[0::2]] = perm[1::2]
-    matches[perm[1::2]] = perm[0::2]
+    for start in range(0, len(perm), BLOCK_SIZE):
+        block = perm[start:start + BLOCK_SIZE]
+        matches[block[0::2]] = block[1::2]
+        matches[block[1::2]] = block[0::2]
     return Pairing(n=n, r=r, matches=matches)
 
 
@@ -174,8 +194,8 @@ def sample_simple_pairing(n, r, rng):
 def sample_simple_regular(n, r, rng):
     """Uniform simple r-regular graph: the projection of ``sample_simple_pairing``."""
     pairing, _ = sample_simple_pairing(n, r, rng)
-    u, v = pairing.vertex_pairs()
-    return graph_from_edges(n, zip(u.tolist(), v.tolist()), r=r)
+    edges = [e for u, v in pairing.vertex_pairs() for e in zip(u.tolist(), v.tolist())]
+    return graph_from_edges(n, edges, r=r)
 
 
 def is_connected(g):

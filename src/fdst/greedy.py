@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .errors import InvalidInputError, InvariantViolationError
 from .graphs import Pairing, index_dtype, sample_pairing
 from .ode import columns
@@ -96,7 +97,6 @@ class SpanningTreeResult:
     greedy_steps: int  # processed vertices, the start vertex included
     greedy_components: int  # the forest's components before completion
     connected: bool = True
-    pairing: object = None  # lazy mode: the uniform Pairing drawn before the run
 
 
 def _typed(values):
@@ -107,7 +107,7 @@ def _typed(values):
 
 
 def _complete(n, parent, pairs, saturated):
-    """Join the components of a forest with the vertex pairs (u[i], v[i]) of ``pairs()``.
+    """Join the components of a forest with the vertex pairs of ``pairs``, blocks (u, v).
 
     The forest is ``parent``: a root is its own parent, and every other x
     has the forest edge (x, parent[x]). Each vertex's component is named by
@@ -118,16 +118,22 @@ def _complete(n, parent, pairs, saturated):
     dropped. Kruskal's rule scans the rest by their keys min*n + max,
     smallest first, with a union-find over the components, and keeps a pair
     when it joins two components, so a repeated pair is kept at most once; a
-    kept edge may not touch a saturated vertex. Returns the sorted keys
-    u*n + v (u < v) of the tree's edges and the forest's component count;
-    the keys span all n vertices when there are n - 1 of them.
+    kept edge may not touch a saturated vertex. Returns the tree, the (m, 2)
+    int64 rows (u, v), u < v, decoded from the sorted keys u*n + v of its
+    edges, and the forest's component count; the tree spans all n vertices
+    when m = n - 1.
 
     Memory: vertex indices stay in ``index_dtype(n)``, so the greedy's
-    typed ``parent`` is read in place, and only the keys are int64.
-    ``pairs`` is called once the labels are known, so the pair arrays live
-    only through the cross filter; the labels are freed before the
-    union-find, which reads the component indices through memoryviews.
+    typed ``parent`` is read in place, and only the keys are int64. The
+    pairs and the forest edges are read a block of ``graphs.BLOCK_SIZE`` at
+    a time, so no full-length array of pairs, of their labels or of their
+    intp index copies is made, and only each block's cross keys outlive it.
+    The labels are freed before the union-find, which reads the component
+    indices through memoryviews. The keys are written straight into the
+    first half of the tree and decoded there, so the tree is completion's
+    one full-length int64 array.
     """
+    block_size = graphs.BLOCK_SIZE
     parent = np.asarray(parent, dtype=index_dtype(n))
     labels = parent
     for _ in range(n.bit_length() + 1):
@@ -138,40 +144,55 @@ def _complete(n, parent, pairs, saturated):
     del up
     if not np.array_equal(parent[labels], labels):
         raise InvariantViolationError("the forest's parent pointers have a cycle")
-    u, v = pairs()
-    cross = labels[u] != labels[v]
-    cross_keys = np.sort(_keys(n, u[cross], v[cross]))
-    del u, v, cross
-    lo, hi = np.divmod(cross_keys, n)
     roots = np.flatnonzero(parent == np.arange(n, dtype=parent.dtype))
+    cross_keys = []
+    for u, v in pairs:
+        cross = labels[u] != labels[v]
+        u, v = u[cross], v[cross]
+        cross_keys.append(_keys(n, u, v, np.empty(len(u), dtype=np.int64)))
+    cross_keys = np.concatenate(cross_keys)
+    cross_keys.sort()
     # component i is the tree of roots[i]; a memoryview yields one int at a
     # time, where tolist() would hold them all
-    a, b = np.searchsorted(roots, labels[lo]), np.searchsorted(roots, labels[hi])
+    a = np.searchsorted(roots, labels[cross_keys // n])
+    b = np.searchsorted(roots, labels[cross_keys % n])
     del labels
     union = UnionFind(len(roots)).union
-    kept = [i for i, ab in enumerate(zip(memoryview(a), memoryview(b))) if union(*ab)]
+    kept = np.fromiter(map(union, memoryview(a), memoryview(b)), dtype=bool, count=len(a))
     cross_keys = cross_keys[kept]
     lo, hi = np.divmod(cross_keys, n)
     bad = np.flatnonzero(saturated[lo] | saturated[hi])
     if len(bad):
         raise InvariantViolationError(
             f"completion tried to add ({lo[bad[0]]}, {hi[bad[0]]}) at a full-degree vertex")
-    child = np.arange(n, dtype=parent.dtype)
-    child = child[parent != child]
-    forest_keys = _keys(n, child, parent[child])
-    del child
-    keys = np.concatenate((forest_keys, cross_keys))
-    del forest_keys
+    m = n - len(roots) + len(cross_keys)
+    tree = np.empty((m, 2), dtype=np.int64)
+    keys = tree.reshape(-1)[:m]
+    end = 0
+    for start in range(0, n, block_size):  # the forest edges (x, parent[x])
+        block = parent[start:start + block_size]
+        ids = np.arange(start, start + len(block), dtype=block.dtype)
+        child = block != ids
+        count = np.count_nonzero(child)
+        _keys(n, ids[child], block[child], keys[end:end + count])
+        end += count
+    keys[end:] = cross_keys
     keys.sort()
-    return keys, len(roots)
+    # row i lies at entries 2i and 2i+1, at or after key i: decoded from the
+    # last block back, from a copy of its keys, a block's rows overwrite only
+    # keys already decoded
+    for start in reversed(range(0, m, block_size)):
+        rows = tree[start:start + block_size]
+        np.divmod(keys[start:start + block_size].copy(), n, out=(rows[:, 0], rows[:, 1]))
+    return tree, len(roots)
 
 
-def _keys(n, u, v):
-    """The int64 keys min*n + max of the vertex pairs (u[i], v[i])."""
-    keys = np.minimum(u, v).astype(np.int64)
-    keys *= n
-    keys += np.maximum(u, v)
-    return keys
+def _keys(n, u, v, out):
+    """Write the int64 keys min*n + max of the vertex pairs (u[i], v[i]) into ``out``."""
+    np.minimum(u, v, out=out)
+    out *= n
+    out += np.maximum(u, v)
+    return out
 
 
 class _State:
@@ -192,7 +213,8 @@ class _State:
     ``fresh`` and ``pos`` are typed arrays of ``index_dtype(n)``, four bytes
     an entry below n = 2**31. The state is the greedy's scratch: `_run` keeps
     only ``parent``, ``full`` and ``full_count`` and frees the rest before
-    completion. The greedy reads the pairing's own ``matches``, not a copy.
+    completion. The greedy reads the pairing's own ``matches``, not a copy,
+    and `_run` drops the pairing once completion has read its pairs.
     """
 
     def __init__(self, n, r):
@@ -370,22 +392,26 @@ def _greedy(s, rng, fixed, sample_stride, invariant_checks):
     return steps, samples, first_fresh_step, full_at_phase1_end
 
 
-def _run(pairing, rng, sample_stride, invariant_checks):
-    """The greedy on ``pairing``, then completion with the pairing's pairs.
+def _run(draw_pairing, rng, sample_stride, invariant_checks):
+    """The greedy on the pairing ``draw_pairing()``, then completion with its pairs.
 
-    Returns (SpanningTreeResult, trajectory samples or None).
+    The pairing is drawn here, so no caller holds it (an argument would live
+    on in the caller's frame under Python 3.10) and a pairing no caller
+    keeps is freed once completion has read its pairs. Returns
+    (SpanningTreeResult, trajectory samples or None).
     """
+    pairing = draw_pairing()
     n, r = pairing.n, pairing.r
     s = _State(n, r)
     greedy_steps, samples, first_fresh_step, full_at_phase1_end = _greedy(
         s, rng, memoryview(pairing.matches), sample_stride, invariant_checks)
     parent, full, full_count = s.parent, np.frombuffer(s.full, dtype=np.bool_), s.full_count
-    del s  # the greedy's scratch, freed before completion
-    keys, components = _complete(n, parent, pairing.vertex_pairs, full)
+    pairs = pairing.vertex_pairs()
+    # the greedy's scratch, freed before completion; the pairing is freed
+    # once completion has read its last block of pairs
+    del s, pairing
+    tree, components = _complete(n, parent, pairs, full)
     del parent
-    tree = np.empty((len(keys), 2), dtype=np.int64)
-    np.divmod(keys, n, out=(tree[:, 0], tree[:, 1]))
-    del keys
     deg = np.bincount(tree.ravel(), minlength=n)
     bad = np.flatnonzero(full & (deg != r))
     if len(bad):
@@ -414,7 +440,7 @@ def run_on_pairing(pairing, rng):
     """
     if pairing.r < 3:
         raise InvalidInputError(f"need r >= 3, got r={pairing.r}")
-    result, _ = _run(pairing, rng, None, invariant_checks=False)
+    result, _ = _run(lambda: pairing, rng, None, invariant_checks=False)
     return result
 
 
@@ -459,9 +485,8 @@ def run_lazy(n, r, rng, sample_stride=None, invariant_checks=False):
         sample_stride = max(1, -(-n // 1000))
     if sample_stride < 1:
         raise InvalidInputError(f"need sample_stride >= 1, got {sample_stride}")
-    pairing = sample_pairing(n, r, rng)
-    result, samples = _run(pairing, rng, sample_stride, invariant_checks)
-    result.pairing = pairing
+    result, samples = _run(lambda: sample_pairing(n, r, rng), rng, sample_stride,
+                           invariant_checks)
     trajectory = Trajectory(r=r, n=n, sample_stride=sample_stride,
                             samples=np.asarray(samples))
     return result, trajectory

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdst.catalog import complete_graph, cycle_graph, named_graph, prism_graph
@@ -259,6 +259,22 @@ def connected_graphs(draw, min_n, max_n, max_extra):
     return graph_from_edges(n, sorted(edges))
 
 
+@st.composite
+def dense_connected_graphs(draw):
+    """A graph on 4 <= n <= 9 vertices with edge density 0.2 <= p <= 0.95, kept when connected.
+
+    Each vertex pair is an edge when its drawn number in [0, 1] falls below
+    p. Dense graphs reach the DP's wide frontiers, up to n - 1 =
+    MAX_FRONTIER, which ``connected_graphs``' sparse draws almost never do.
+    """
+    n = draw(st.integers(4, 9))
+    p = draw(st.floats(0.2, 0.95))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = graph_from_edges(n, [e for e in pairs if draw(st.floats(0, 1)) < p])
+    assume(is_connected(g))
+    return g
+
+
 @pytest.mark.parametrize("name,count", [
     ("k4", 16), ("k33", 81), ("prism", 75), ("cube", 384), ("petersen", 2000),
 ])
@@ -302,8 +318,18 @@ def test_tree_dp_beyond_the_cross_check_guard(n, r):
     assert ext.max_leaves == lambda_gamma_exact(g)[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(dense_connected_graphs())
+@example(complete_graph(9))  # width n - 1 = MAX_FRONTIER
+def test_tree_dp_matches_kirchhoff_and_both_searches_on_dense_graphs(g):
+    ext = spanning_tree_extrema(g)
+    assert ext.tree_count == kirchhoff_count(g)
+    assert ext.max_full == phi_exact_stars(g)[0]
+    assert ext.max_leaves == lambda_gamma_exact(g)[0]
+
+
 @settings(max_examples=50, deadline=None)
-@given(connected_graphs(1, 9, max_extra=14), st.data())
+@given(st.one_of(connected_graphs(1, 9, max_extra=14), dense_connected_graphs()), st.data())
 def test_tree_dp_is_invariant_under_relabelling(g, data):
     # the edge order depends on the labels; the count and the maxima must not
     perm = data.draw(st.permutations(range(g.n)))

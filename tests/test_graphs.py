@@ -67,6 +67,12 @@ def test_sample_simple_pairing_is_the_int64_permutation_construction(n, r, seed)
     assert rng.random() == ref.random()
 
 
+def test_block_size_is_even():
+    # _pairing pairs perm[2i] with perm[2i+1] within a block, so an odd block
+    # would split a pair
+    assert graphs.BLOCK_SIZE > 0 and graphs.BLOCK_SIZE % 2 == 0
+
+
 def test_index_dtype_widens_at_2_to_the_31():
     assert graphs.index_dtype(2**31 - 1) == np.int32
     assert graphs.index_dtype(2**31) == np.int64
@@ -123,7 +129,7 @@ def test_sample_simple_regular_is_the_projection_of_sample_simple_pairing():
         assert graph_from_edges(12, pairs, r=3).adjacency == g.adjacency
 
 
-def test_project_single_loop():
+def test_reference_projection_of_a_single_loop():
     # n=1, r=2: the only pairing matches the two points of the one bucket
     p = Pairing(n=1, r=2, matches=np.array([1, 0]))
     pairs = projected_pairs(p)
@@ -131,14 +137,14 @@ def test_project_single_loop():
     assert not is_simple(pairs)
 
 
-def test_project_double_edge():
+def test_reference_projection_of_a_double_edge():
     p = Pairing(n=2, r=2, matches=np.array([2, 3, 0, 1]))
     pairs = projected_pairs(p)
     assert pairs == [(0, 1), (0, 1)]
     assert not is_simple(pairs)
 
 
-def test_project_preserves_degrees():
+def test_reference_projection_preserves_degrees():
     for seed in range(10):
         for n, r in ((6, 3), (5, 4), (4, 5)):
             if (n * r) % 2:
@@ -149,12 +155,12 @@ def test_project_preserves_degrees():
             assert np.bincount(np.ravel(pairs), minlength=n).tolist() == [r] * n
 
 
-def test_is_simple_triple_edge():
+def test_reference_is_simple_refuses_a_triple_edge():
     p = Pairing(n=2, r=3, matches=np.array([3, 4, 5, 0, 1, 2]))
     assert not is_simple(projected_pairs(p))
 
 
-def test_is_simple_k4_realization():
+def test_reference_is_simple_accepts_a_k4_realization():
     # explicit pairing whose projection is K_4: buckets {0,1,2},{3,4,5},{6,7,8},{9,10,11}
     matches = np.array([3, 6, 9, 0, 7, 10, 1, 4, 11, 2, 5, 8])
     p = Pairing(n=4, r=3, matches=matches)

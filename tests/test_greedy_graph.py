@@ -133,15 +133,15 @@ def test_large_cubic_sample_hits_reference_fraction():
     assert res.phase1_full_degree_count <= res.full_degree_count
 
 
-# completion of the forest 0-1 (parent of 1 is 0) on the path 0-1-2-3;
-# nothing saturated
-PATH_EDGES = np.array([0, 1, 2]), np.array([1, 2, 3])
+# completion of the forest 0-1 (parent of 1 is 0) on the path 0-1-2-3, its
+# pairs in one block; nothing saturated
+PATH_EDGES = [(np.array([0, 1, 2]), np.array([1, 2, 3]))]
 UNSATURATED = np.zeros(4, dtype=bool)
 
 
 def test_completion_joins_the_labelled_components():
-    keys, components = _complete(4, [0, 0, 2, 3], lambda: PATH_EDGES, UNSATURATED)
-    assert keys.tolist() == [0 * 4 + 1, 1 * 4 + 2, 2 * 4 + 3]  # n - 1 keys: connected
+    tree, components = _complete(4, [0, 0, 2, 3], PATH_EDGES, UNSATURATED)
+    assert tree.tolist() == [[0, 1], [1, 2], [2, 3]]  # n - 1 edges: connected
     assert components == 3
 
 
@@ -149,14 +149,14 @@ def test_completion_rejects_a_parent_cycle():
     # a 2-cycle settles under pointer jumping, a 3-cycle never does
     for parent in ([1, 0, 2, 3], [1, 2, 0, 3]):
         with pytest.raises(InvariantViolationError):
-            _complete(4, parent, lambda: PATH_EDGES, UNSATURATED)
+            _complete(4, parent, PATH_EDGES, UNSATURATED)
 
 
 def test_completion_rejects_a_needed_edge_at_a_saturated_vertex():
     saturated = UNSATURATED.copy()
     saturated[1] = True  # the tree needs the edge 1-2
     with pytest.raises(InvariantViolationError):
-        _complete(4, [0, 0, 2, 3], lambda: PATH_EDGES, saturated)
+        _complete(4, [0, 0, 2, 3], PATH_EDGES, saturated)
 
 
 def test_graph_mode_takes_no_trajectory_samples(monkeypatch):

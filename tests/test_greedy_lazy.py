@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from pairing_reference import projected_pairs, validate_pairing
 
+from fdst import greedy
 from fdst.errors import InvalidInputError
 from fdst.graphs import sample_pairing
 from fdst.greedy import run_lazy
@@ -62,23 +63,31 @@ def test_full_fraction_monotone_and_m_linear_decrease():
 
 def test_reveals_are_uniform_over_pairings():
     # n=2, r=3: six points admit 15 perfect matchings; the fully revealed
-    # pairing of a lazy run must be uniform among them
+    # pairing of a lazy run, its first draw, must be uniform among them
     counts = Counter()
     runs = 4500
     for seed in range(runs):
-        res, _ = run_lazy(2, 3, np.random.default_rng(seed))
-        counts[tuple(res.pairing.matches.tolist())] += 1
+        pairing = sample_pairing(2, 3, np.random.default_rng(seed))
+        counts[tuple(pairing.matches.tolist())] += 1
     assert len(counts) == 15
     expected = runs / 15  # 300; five-sigma band ~ +-85
     for key, c in counts.items():
         assert abs(c - expected) < 90, f"pairing {key} appeared {c} times"
 
 
-def test_pairing_is_drawn_first_by_sample_pairing():
+def test_pairing_is_drawn_first_by_sample_pairing(monkeypatch):
+    # the run keeps no pairing, so a spy takes the one it draws
+    runs = []
+
+    def spy(*args):
+        runs.append(sample_pairing(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(greedy, "sample_pairing", spy)
     for n, r, seed in ((2, 3, 0), (10, 3, 1), (9, 4, 2), (40, 5, 3), (301, 6, 4)):
-        res, _ = run_lazy(n, r, np.random.default_rng(seed))
+        run_lazy(n, r, np.random.default_rng(seed))
         drawn = sample_pairing(n, r, np.random.default_rng(seed))
-        assert np.array_equal(res.pairing.matches, drawn.matches)
+        assert np.array_equal(runs[-1].matches, drawn.matches)
 
 
 def reference_run_lazy(n, r, rng):
@@ -179,8 +188,9 @@ def test_law_matches_on_demand_reveals():
 def test_result_tree_is_spanning_forest_of_multigraph():
     for seed in range(30):
         res, _ = run_lazy(20, 3, np.random.default_rng(seed))
-        validate_pairing(res.pairing)
-        simple_edges = {e for e in projected_pairs(res.pairing) if e[0] != e[1]}
+        pairing = sample_pairing(20, 3, np.random.default_rng(seed))  # the run's first draw
+        validate_pairing(pairing)
+        simple_edges = {e for e in projected_pairs(pairing) if e[0] != e[1]}
         uf = UnionFind(res.n)
         for u, v in res.tree:
             assert (u, v) in simple_edges

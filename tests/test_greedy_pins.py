@@ -103,17 +103,21 @@ def test_lazy_run_memory_peak_per_vertex():
     # vertex when the greedy took a copy of the pairing, kept its fresh pool
     # as boxed ints, and its scratch and the point pairs lived through
     # completion; about 91 with eight-byte points, pools and forest and a
-    # reveal mark per point; about 65 with four-byte indices and no marks
-    n = 10_000
+    # reveal mark per point; about 65 with four-byte indices and no marks.
+    # At n = 50 000 the fixed-size blocks of completion's scans weigh less:
+    # about 50 bytes a vertex when completion made full-length pair, label
+    # and key arrays beside the live pairing, about 40 with block scans that
+    # free the pairing (this case costs about 2 s under tracemalloc)
     run_lazy(1000, 3, np.random.default_rng(0))  # first-call allocations stay out
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        run_lazy(n, 3, np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        for n, bound in ((10_000, 75), (50_000, 42)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_lazy(n, 3, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak / n < bound, f"n = {n}: {peak / n:.0f} bytes a vertex"
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak / n < 75, f"{peak / n:.0f} bytes a vertex"

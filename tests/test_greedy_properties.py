@@ -15,12 +15,15 @@ union-find over the forest's edges, then Kruskal over all candidate edges
 in lexicographic order. The program joins the components the greedy
 labelled while building the forest, scanning only the edges between them.
 """
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from pairing_reference import projected_pairs, validate_pairing
+from pairing_reference import projected_pairs, reference_pairing, validate_pairing
 
+from fdst import graphs
 from fdst.errors import InvariantViolationError
 from fdst.graphs import (graph_from_edges, is_connected, sample_pairing,
                          sample_simple_pairing, sample_simple_regular)
@@ -282,7 +285,7 @@ def test_lazy_mode_invariants(r, n, seed):
     n += (n * r) % 2
     res, _ = run_lazy(n, r, np.random.default_rng(seed), sample_stride=1,
                       invariant_checks=True)  # audits every step
-    validate_pairing(res.pairing)
+    validate_pairing(sample_pairing(n, r, np.random.default_rng(seed)))  # the run's first draw
     deg = [0] * n
     for u, v in res.tree:
         deg[u] += 1
@@ -305,20 +308,56 @@ def tree_leaf_count(n, tree):
 def test_lazy_completion_matches_reference(r, n, seed):
     n += (n * r) % 2
     res, _ = run_lazy(n, r, np.random.default_rng(seed))
+    pairing = sample_pairing(n, r, np.random.default_rng(seed))  # the run's first draw
     # the forest is the union of the full vertices' stars in the pairing
     forest = set()
     for v in res.full_vertices:
         for p in range(v * r, v * r + r):
-            w = int(res.pairing.matches[p]) // r
+            w = int(pairing.matches[p]) // r
             forest.add((min(v, w), max(v, w)))
     full = bytearray(n)
     for v in res.full_vertices:
         full[v] = 1
-    edges = sorted({(u, v) for u, v in projected_pairs(res.pairing) if u != v})
+    edges = sorted({(u, v) for u, v in projected_pairs(pairing) if u != v})
     tree, connected = reference_join_forest(n, sorted(forest), edges, full)
     assert res.tree.tolist() == [list(e) for e in tree]
     assert res.connected == connected
     assert res.leaf_count == tree_leaf_count(n, tree)
+
+
+def assert_same_result(a, b):
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.sampled_from([2, 6, 8]), r=st.integers(3, 5), n=st.integers(10, 40),
+       seed=st.integers(0, 2**32))
+def test_block_size_changes_no_pairing_pair_or_run(block, r, n, seed):
+    # the pairing's assignment, its pair scan and completion read a block of
+    # graphs.BLOCK_SIZE at a time; small blocks split every pair list, forest
+    # and tree into many, and change nothing
+    n += (n * r) % 2
+
+    def outputs():
+        pairing = sample_pairing(n, r, np.random.default_rng(seed))
+        pairs = list(zip(*(np.concatenate(a).tolist() for a in zip(*pairing.vertex_pairs()))))
+        lazy, traj = run_lazy(n, r, np.random.default_rng(seed))
+        simple, _ = sample_simple_pairing(n, r, np.random.default_rng(seed))
+        graph = run_on_pairing(simple, np.random.default_rng(seed + 1))
+        return pairing, pairs, lazy, traj, simple, graph
+
+    pairing, pairs, lazy, traj, simple, graph = outputs()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "BLOCK_SIZE", block)
+        b_pairing, b_pairs, b_lazy, b_traj, b_simple, b_graph = outputs()
+    assert np.array_equal(b_pairing.matches, reference_pairing(n, r, np.random.default_rng(seed)))
+    assert b_pairs == pairs == projected_pairs(pairing)
+    assert_same_result(b_lazy, lazy)
+    assert np.array_equal(b_traj.samples, traj.samples)
+    assert np.array_equal(b_simple.matches, simple.matches)
+    assert_same_result(b_graph, graph)
 
 
 def assert_tree_layout(res, rows):
